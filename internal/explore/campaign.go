@@ -187,6 +187,30 @@ func loadLog(path string) (map[string]Record, error) {
 	return out, sc.Err()
 }
 
+// openLog opens the checkpoint log for appending, creating it when
+// missing. If the file does not end in a newline (the previous run died
+// mid-write), a newline is appended first, so the torn tail stays an
+// isolated line that loadLog skips instead of swallowing the next
+// record.
+func openLog(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	st, err := f.Stat()
+	if err == nil && st.Size() > 0 {
+		tail := make([]byte, 1)
+		if _, err = f.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
+			_, err = f.Write([]byte{'\n'})
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
 // record flattens a completed figure's sweeps (always a single
 // algorithm line) into a log record.
 func record(key string, f exp.FigureSpec, sweeps []exp.Sweep) Record {
@@ -235,23 +259,30 @@ func (c *Campaign) Run() error {
 			len(specs), len(specs)-len(todo), len(todo))
 	}
 	if len(todo) > 0 {
-		logf, err := os.OpenFile(c.LogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		logf, err := openLog(c.LogPath)
 		if err != nil {
 			return err
 		}
-		defer logf.Close()
+		defer logf.Close() // error paths; the success path checks Close below
 		stop := make(chan struct{})
 		o.Cancel = mergeCancel(c.Opts.Cancel, stop)
 		completed := 0
 		stopped := false
+		var writeErr error
 		runErr := exp.RunFigureSet(todo, o, func(f exp.FigureSpec, sweeps []exp.Sweep) {
 			r := record(exp.CacheKey(f, o), f, sweeps)
 			b, err := json.Marshal(r)
 			if err != nil {
 				panic(fmt.Sprintf("explore: record not serializable: %v", err))
 			}
-			if _, err := logf.Write(append(b, '\n')); err != nil && c.Verbose != nil {
-				fmt.Fprintf(c.Verbose, "turnscan: checkpoint write failed: %v\n", err)
+			if _, err := logf.Write(append(b, '\n')); err != nil && writeErr == nil {
+				// A figure that cannot be checkpointed would be lost to the
+				// next resume: stop the campaign and report it.
+				writeErr = fmt.Errorf("explore: checkpoint write failed: %w", err)
+				if !stopped {
+					stopped = true
+					close(stop)
+				}
 			}
 			done[r.CacheKey] = r
 			completed++
@@ -263,6 +294,12 @@ func (c *Campaign) Run() error {
 				close(stop)
 			}
 		})
+		if err := logf.Close(); err != nil && writeErr == nil {
+			writeErr = fmt.Errorf("explore: closing checkpoint log: %w", err)
+		}
+		if writeErr != nil {
+			return writeErr
+		}
 		if runErr != nil {
 			return runErr
 		}

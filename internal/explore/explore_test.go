@@ -182,3 +182,51 @@ func TestCampaignLogTolerance(t *testing.T) {
 		t.Error("intact record missing")
 	}
 }
+
+// TestCampaignTornTailThenAppend: a campaign resumed after a torn final
+// line must not glue its first checkpoint onto the fragment. Every
+// figure it completes has to load back from the log, so a later resume
+// has nothing left to run.
+func TestCampaignTornTailThenAppend(t *testing.T) {
+	dir := t.TempDir()
+	s := Screen(topology.NewMesh(5, 5))
+	// A seed of its own keeps exp's process-wide sweep cache, warmed by
+	// the other campaign tests, from finishing the run before it stops.
+	killed := campaignFor(t, s, dir, "torn")
+	killed.Opts.Seed = 11
+	killed.StopAfter = 1
+	killed.Opts.Workers = 1
+	if err := killed.Run(); err != exp.ErrCanceled {
+		t.Fatalf("killed run returned %v, want exp.ErrCanceled", err)
+	}
+	f, err := os.OpenFile(killed.LogPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"cache_key":"dead","figure":"f","set":"0x05","pat`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	resumed := campaignFor(t, s, dir, "torn")
+	resumed.Opts.Seed = killed.Opts.Seed
+	if err := resumed.Run(); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	logged, err := loadLog(resumed.LogPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := resumed.specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range specs {
+		if _, ok := logged[exp.CacheKey(sp, resumed.Opts)]; !ok {
+			t.Errorf("figure %s completed but its checkpoint does not load back", sp.ID)
+		}
+	}
+	if _, ok := logged["dead"]; ok {
+		t.Error("the torn fragment loaded as a record")
+	}
+}

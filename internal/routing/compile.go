@@ -96,9 +96,13 @@ type Table struct {
 	epoch int
 	n     int
 	// spans holds two entries per (cur, dst) pair at (cur*n+dst)*2:
-	// the injected list, then the arrived list. When the two lists are
-	// equal (every relation but WrapFirstHop) the spans alias.
+	// the injected list, then the arrived list.
 	spans []span
+	// cands is the arena. Lists are interned per source node: every span
+	// of node cur with equal contents — the injected and arrived lists of
+	// one pair (they differ only under WrapFirstHop), and the pairs whose
+	// destinations lie in the same direction class — points at one copy,
+	// so the arena holds a few lists per node instead of one per pair.
 	cands []Candidate
 }
 
@@ -128,18 +132,39 @@ func (t *Table) MemoryBytes() int {
 	return len(t.spans)*8 + len(t.cands)*8
 }
 
-// compileCands evaluates the relation once and applies the simulator's
-// candidate filter: virtual channel in range, channel existing and not
-// faulty. Profitability is computed unconditionally — the simulator
-// reads it only under misroute patience or metrics, so precomputing it
-// is behavior-neutral.
-func compileCands(alg VCAlgorithm, t *topology.Topology, cur, dst topology.NodeID,
-	in VCInPort, vcs int, raw []VirtualDirection, out []Candidate) ([]Candidate, []VirtualDirection) {
-	raw = alg.CandidatesVC(cur, dst, in, raw[:0])
+// compiler is one compilation's reusable state: the evaluation scratch
+// and the per-source-node intern index. Once its buffers have grown to
+// the relation's widest candidate list, evaluating a (node, destination)
+// pair allocates nothing.
+type compiler struct {
+	alg  VCAlgorithm
+	t    *topology.Topology
+	vcs  int
+	raw  []VirtualDirection
+	dirs []topology.Direction
+	// index maps a candidate list's hash to the arena span of the list
+	// interned under it. It holds one source node's lists and is reset
+	// between nodes, since Candidate.Out makes lists at different nodes
+	// distinct.
+	index map[uint64]span
+}
+
+func newCompiler(alg VCAlgorithm) *compiler {
+	return &compiler{alg: alg, t: alg.Topology(), vcs: alg.NumVCs(), index: map[uint64]span{}}
+}
+
+// cands evaluates the relation once and appends to out the result of the
+// simulator's candidate filter: virtual channel in range, channel
+// existing and not faulty. Profitability is computed unconditionally —
+// the simulator reads it only under misroute patience or metrics, so
+// precomputing it is behavior-neutral.
+func (c *compiler) cands(cur, dst topology.NodeID, in VCInPort, out []Candidate) []Candidate {
+	t := c.t
+	c.raw, c.dirs = Evaluate(c.alg, cur, dst, in, c.raw[:0], c.dirs)
 	ndim := t.NumDims()
 	baseDist := t.Distance(cur, dst)
-	for _, vd := range raw {
-		if vd.VC < 0 || vd.VC >= vcs {
+	for _, vd := range c.raw {
+		if vd.VC < 0 || vd.VC >= c.vcs {
 			continue
 		}
 		if !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
@@ -150,13 +175,44 @@ func compileCands(alg VCAlgorithm, t *topology.Topology, cur, dst topology.NodeI
 			prof = true
 		}
 		out = append(out, Candidate{
-			Out:  OutIndex(cur, vd.Dir, vd.VC, ndim, vcs),
+			Out:  OutIndex(cur, vd.Dir, vd.VC, ndim, c.vcs),
 			Dir:  uint8(vd.Dir.Index()),
 			VC:   uint8(vd.VC),
 			Prof: prof,
 		})
 	}
-	return out, raw
+	return out
+}
+
+// intern returns a span of tab's arena holding list, appending list only
+// when the current source node has not produced an equal one yet. A
+// list whose hash collides with a different list is simply stored
+// again: the table stays exact, only that copy goes unshared.
+func (c *compiler) intern(tab *Table, list []Candidate) span {
+	if len(list) == 0 {
+		return span{}
+	}
+	h := hashCands(list)
+	if s, ok := c.index[h]; ok && candsEqual(tab.cands[s.start:s.end], list) {
+		return s
+	}
+	s := appendSpan(tab, list)
+	c.index[h] = s
+	return s
+}
+
+// hashCands is FNV-1a over the candidates' fields.
+func hashCands(list []Candidate) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, c := range list {
+		v := uint64(uint32(c.Out))<<24 | uint64(c.Dir)<<16 | uint64(c.VC)<<8
+		if c.Prof {
+			v |= 1
+		}
+		h = (h ^ v) * prime
+	}
+	return h
 }
 
 func candsEqual(a, b []Candidate) bool {
@@ -211,19 +267,19 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 		n:     n,
 		spans: make([]span, n*n*2),
 	}
-	var raw []VirtualDirection
+	c := newCompiler(alg)
 	var injList, arrList, probe []Candidate
 	for cur := 0; cur < n; cur++ {
 		curID := topology.NodeID(cur)
+		clear(c.index)
 		for dst := 0; dst < n; dst++ {
 			if dst == cur {
 				continue // headers at their destination eject; both spans stay empty
 			}
 			dstID := topology.NodeID(dst)
-			injList, raw = compileCands(alg, t, curID, dstID, VCInjected, vcs, raw, injList[:0])
+			injList = c.cands(curID, dstID, VCInjected, injList[:0])
 			if invariant {
-				arrList, raw = compileCands(alg, t, curID, dstID,
-					VCInPort{Dir: topology.Direction{}}, vcs, raw, arrList[:0])
+				arrList = c.cands(curID, dstID, VCInPort{Dir: topology.Direction{}}, arrList[:0])
 			} else {
 				// Verify arrival invariance over every port a packet can
 				// actually arrive on: travelling d means it came over the
@@ -235,8 +291,7 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 						continue
 					}
 					for vc := 0; vc < vcs; vc++ {
-						probe, raw = compileCands(alg, t, curID, dstID,
-							VCInPort{Dir: d, VC: vc}, vcs, raw, probe[:0])
+						probe = c.cands(curID, dstID, VCInPort{Dir: d, VC: vc}, probe[:0])
 						if first {
 							arrList = append(arrList[:0], probe...)
 							first = false
@@ -253,12 +308,8 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 				}
 			}
 			si := (cur*n + dst) * 2
-			tab.spans[si] = appendSpan(tab, injList)
-			if candsEqual(injList, arrList) {
-				tab.spans[si+1] = tab.spans[si]
-			} else {
-				tab.spans[si+1] = appendSpan(tab, arrList)
-			}
+			tab.spans[si] = c.intern(tab, injList)
+			tab.spans[si+1] = c.intern(tab, arrList)
 		}
 	}
 	return tab, nil

@@ -7,12 +7,53 @@ import (
 	"turnmodel/internal/topology"
 )
 
-// directCands is the reference the compiled table must match: one
-// CandidatesVC evaluation pushed through the same filter the simulator
-// applies per packet.
+// directCands is the reference the compiled table must match: a fresh
+// CandidatesVC evaluation pushed through the filter the simulator
+// applies per packet, written out independently of the compiler.
 func directCands(alg VCAlgorithm, cur, dst topology.NodeID, in VCInPort) []Candidate {
-	out, _ := compileCands(alg, alg.Topology(), cur, dst, in, alg.NumVCs(), nil, nil)
+	t := alg.Topology()
+	vcs := alg.NumVCs()
+	var out []Candidate
+	for _, vd := range alg.CandidatesVC(cur, dst, in, nil) {
+		if vd.VC < 0 || vd.VC >= vcs || !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
+			continue
+		}
+		next := t.ChannelTo(topology.Channel{From: cur, Dir: vd.Dir})
+		out = append(out, Candidate{
+			Out:  OutIndex(cur, vd.Dir, vd.VC, t.NumDims(), vcs),
+			Dir:  uint8(vd.Dir.Index()),
+			VC:   uint8(vd.VC),
+			Prof: t.Distance(next, dst) < t.Distance(cur, dst),
+		})
+	}
 	return out
+}
+
+// checkTableMatchesDirect requires every Lookup of tab to equal a direct
+// evaluation: the injected list for an injected header, and the arrived
+// list for every port a header can arrive at cur on.
+func checkTableMatchesDirect(t *testing.T, alg VCAlgorithm, tab *Table) {
+	t.Helper()
+	topo := alg.Topology()
+	n := topology.NodeID(topo.Nodes())
+	for cur := topology.NodeID(0); cur < n; cur++ {
+		ports := arrivalPorts(topo, cur, alg.NumVCs())
+		for dst := topology.NodeID(0); dst < n; dst++ {
+			if cur == dst {
+				continue
+			}
+			want := directCands(alg, cur, dst, VCInjected)
+			if got := tab.Lookup(cur, dst, true); !candsEqual(got, want) {
+				t.Fatalf("%s on %v: injected lookup %d->%d = %v, want %v", alg.Name(), topo, cur, dst, got, want)
+			}
+			arr := tab.Lookup(cur, dst, false)
+			for _, in := range ports {
+				if want := directCands(alg, cur, dst, in); !candsEqual(arr, want) {
+					t.Fatalf("%s on %v: arrived lookup %d->%d via %v = %v, want %v", alg.Name(), topo, cur, dst, in, arr, want)
+				}
+			}
+		}
+	}
 }
 
 // arrivalPorts enumerates every (direction, vc) a packet can arrive at
@@ -57,26 +98,138 @@ func TestCompileMatchesDirect(t *testing.T) {
 			t.Errorf("%s: compile failed: %v", alg.Name(), err)
 			continue
 		}
-		topo := alg.Topology()
-		n := topo.Nodes()
-		for cur := topology.NodeID(0); cur < topology.NodeID(n); cur++ {
-			for dst := topology.NodeID(0); dst < topology.NodeID(n); dst++ {
-				if cur == dst {
-					continue
-				}
-				want := directCands(alg, cur, dst, VCInjected)
-				if got := tab.Lookup(cur, dst, true); !candsEqual(got, want) {
-					t.Fatalf("%s: injected lookup %d->%d = %v, want %v", alg.Name(), cur, dst, got, want)
-				}
-				arr := tab.Lookup(cur, dst, false)
-				for _, in := range arrivalPorts(topo, cur, alg.NumVCs()) {
-					want := directCands(alg, cur, dst, in)
-					if !candsEqual(arr, want) {
-						t.Fatalf("%s: arrived lookup %d->%d via %v = %v, want %v", alg.Name(), cur, dst, in, arr, want)
-					}
-				}
+		checkTableMatchesDirect(t, alg, tab)
+	}
+}
+
+// TestCompileMatchesDirectAcrossTopologies widens TestCompileMatchesDirect
+// to every built-in compilable relation on each topology family it
+// routes — 2-D and 3-D meshes, tori and a hypercube — and repeats the
+// comparison after a fault forces a recompile, so interning is checked
+// against lists that differ only by a disabled channel.
+func TestCompileMatchesDirectAcrossTopologies(t *testing.T) {
+	relations := []struct {
+		topo func() *topology.Topology
+		algs func(*topology.Topology) []VCAlgorithm
+	}{
+		{func() *topology.Topology { return topology.NewMesh(6, 5) }, func(m *topology.Topology) []VCAlgorithm {
+			return []VCAlgorithm{
+				AsVC(NewDimensionOrder(m)), AsVC(NewWestFirst(m)), AsVC(NewNorthLast(m)),
+				AsVC(NewNegativeFirst(m)), AsVC(NewFullyAdaptive(m)), NewDoubleY(m),
 			}
+		}},
+		{func() *topology.Topology { return topology.NewMesh(3, 4, 3) }, func(m *topology.Topology) []VCAlgorithm {
+			return []VCAlgorithm{
+				AsVC(NewDimensionOrder(m)), AsVC(NewNegativeFirst(m)),
+				AsVC(NewABONF(m, 2)), AsVC(NewABOPL(m, 1)), AsVC(NewFullyAdaptive(m)),
+			}
+		}},
+		{func() *topology.Topology { return topology.NewTorus(6, 2) }, func(r *topology.Topology) []VCAlgorithm {
+			return []VCAlgorithm{
+				AsVC(NewTorusDOR(r)), NewDatelineDOR(r), AsVC(NewNegativeFirstTorus(r)),
+				AsVC(NewWrapFirstHop(NewNegativeFirst(r))), AsVC(NewWrapFirstHop(NewWestFirst(r))),
+			}
+		}},
+		{func() *topology.Topology { return topology.NewTorus(4, 3) }, func(r *topology.Topology) []VCAlgorithm {
+			return []VCAlgorithm{NewDatelineDOR(r), AsVC(NewWrapFirstHop(NewNegativeFirst(r)))}
+		}},
+		{func() *topology.Topology { return topology.NewHypercube(5) }, func(c *topology.Topology) []VCAlgorithm {
+			return []VCAlgorithm{AsVC(NewPCube(c)), AsVC(NewDimensionOrder(c)), AsVC(NewNegativeFirst(c))}
+		}},
+	}
+	for _, rel := range relations {
+		topo := rel.topo()
+		algs := rel.algs(topo)
+		for _, alg := range algs {
+			tab, err := Compile(alg)
+			if err != nil {
+				t.Fatalf("%s on %v: compile failed: %v", alg.Name(), topo, err)
+			}
+			checkTableMatchesDirect(t, alg, tab)
 		}
+		// Break the +0 channel of a node in the middle of the network;
+		// every relation must recompile to a table matching direct
+		// evaluation under the fault.
+		mid := topology.NodeID(topo.Nodes() / 2)
+		broken := topology.Channel{From: mid, Dir: topology.Direction{Dim: 0, Pos: topo.CoordOf(mid, 0) == 0}}
+		if err := topo.DisableChannel(broken); err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range algs {
+			tab, err := Compile(alg)
+			if err != nil {
+				t.Fatalf("%s on %v with %v disabled: compile failed: %v", alg.Name(), topo, broken, err)
+			}
+			if tab.Epoch() != topo.FaultEpoch() {
+				t.Fatalf("%s: recompiled table at epoch %d, topology at %d", alg.Name(), tab.Epoch(), topo.FaultEpoch())
+			}
+			checkTableMatchesDirect(t, alg, tab)
+		}
+	}
+}
+
+// TestCompileAllocsLinear: compiling allocates per source node at most
+// (the intern index and the arena grow to their high-water marks), never
+// per node pair — evaluating a pair reuses the compiler's scratch.
+func TestCompileAllocsLinear(t *testing.T) {
+	mesh := topology.NewMesh(16, 16)
+	torus := topology.NewTorus(16, 2)
+	cube := topology.NewHypercube(8)
+	for _, alg := range []VCAlgorithm{
+		AsVC(NewNegativeFirst(mesh)),
+		AsVC(NewFullyAdaptive(mesh)),
+		NewDoubleY(mesh),
+		NewDatelineDOR(torus),
+		AsVC(NewWrapFirstHop(NewNegativeFirst(torus))),
+		AsVC(NewPCube(cube)),
+		plainVC{NewDatelineDOR(torus)}, // the verification path
+	} {
+		n := alg.Topology().Nodes()
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := Compile(alg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(16 * n); allocs > limit {
+			t.Errorf("%s on %v: Compile allocates %.0f times, want <= 16 per node (%.0f)", alg.Name(), alg.Topology(), allocs, limit)
+		}
+	}
+}
+
+// TestCompileInterning: a 2-D mesh turn-model relation has one distinct
+// candidate list per destination direction class, so each source node
+// contributes at most a handful of arena entries, and equal lists at one
+// node share a span.
+func TestCompileInterning(t *testing.T) {
+	mesh := topology.NewMesh(16, 16)
+	tab, err := Compile(AsVC(NewNegativeFirst(mesh)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := mesh.Nodes()
+	if want := n * n * 2 * 8; tab.MemoryBytes() > want+n*8*16 {
+		t.Errorf("MemoryBytes = %d, want the %d-byte span index plus a few lists per node", tab.MemoryBytes(), want)
+	}
+	// Every destination up and to the right of (3,3) gets the same list.
+	cur := mesh.ID(topology.Coord{3, 3})
+	a := tab.Lookup(cur, mesh.ID(topology.Coord{5, 9}), true)
+	b := tab.Lookup(cur, mesh.ID(topology.Coord{12, 4}), false)
+	if !candsEqual(a, b) || &a[0] != &b[0] {
+		t.Errorf("equal lists %v and %v at one node do not share an arena span", a, b)
+	}
+}
+
+// BenchmarkCompile measures one route-table compile of the largest
+// compilable network, a 32x32 mesh.
+func BenchmarkCompile(b *testing.B) {
+	alg := AsVC(NewNegativeFirst(topology.NewMesh(32, 32)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tab, err := Compile(alg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(tab.MemoryBytes()), "table_B")
 	}
 }
 

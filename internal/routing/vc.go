@@ -83,17 +83,38 @@ func (s singleVC) ArrivalInvariant() bool {
 }
 
 func (s singleVC) CandidatesVC(cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection) []VirtualDirection {
-	var ip InPort
-	if in.Injected {
-		ip = Injected
-	} else {
+	var tmp [16]topology.Direction
+	buf, _ = s.candidates(cur, dst, in, buf, tmp[:0])
+	return buf
+}
+
+// candidates evaluates the wrapped relation into the dirs scratch and
+// appends the result to buf as virtual channel 0, returning both slices.
+func (s singleVC) candidates(cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection, dirs []topology.Direction) ([]VirtualDirection, []topology.Direction) {
+	ip := Injected
+	if !in.Injected {
 		ip = Arrived(in.Dir)
 	}
-	var tmp [16]topology.Direction
-	for _, d := range s.Algorithm.Candidates(cur, dst, ip, tmp[:0]) {
+	dirs = s.Algorithm.Candidates(cur, dst, ip, dirs[:0])
+	for _, d := range dirs {
 		buf = append(buf, VirtualDirection{Dir: d})
 	}
-	return buf
+	return buf, dirs
+}
+
+// Evaluate appends alg's candidates for a header at cur destined for
+// dst that arrived via in to buf, exactly as alg.CandidatesVC does, and
+// returns the extended buf together with dirs, the caller-owned scratch
+// a relation wrapped by AsVC writes its directions into. The adapter's
+// own CandidatesVC cannot reuse a buffer — its scratch passes through an
+// interface call, so it moves to the heap on every evaluation — while a
+// caller that keeps both returned slices for its next call evaluates
+// without allocating once they have grown to the relation's widest list.
+func Evaluate(alg VCAlgorithm, cur, dst topology.NodeID, in VCInPort, buf []VirtualDirection, dirs []topology.Direction) ([]VirtualDirection, []topology.Direction) {
+	if s, ok := alg.(singleVC); ok {
+		return s.candidates(cur, dst, in, buf, dirs)
+	}
+	return alg.CandidatesVC(cur, dst, in, buf), dirs
 }
 
 // TorusDOR is minimal dimension-order routing on a k-ary n-cube USING

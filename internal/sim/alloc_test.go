@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"turnmodel/internal/core"
 	"turnmodel/internal/metrics"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
@@ -79,17 +80,22 @@ func TestWholeRunZeroAllocs(t *testing.T) {
 		m      *metrics.Collector
 		shards int
 		multVC bool
+		turns  bool
 	}{
-		{"metrics-disabled", nil, 0, false},
-		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), 0, false},
+		{"metrics-disabled", nil, 0, false, false},
+		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), 0, false, false},
 		// Sharded steady state must hold the same bound: the worker pool
 		// parks between cycles instead of respawning, and the deferred
 		// commit logs grow to their high-water mark then stop.
-		{"metrics-enabled-sharded", metrics.New(metrics.Config{Interval: 100}), 3, false},
+		{"metrics-enabled-sharded", metrics.New(metrics.Config{Interval: 100}), 3, false, false},
 		// Multi-VC sharded: the conflict-partitioned move's union-find,
 		// seed order, component assignment and op logs are all persistent
 		// scratch reset via dirty lists — steady state must not allocate.
-		{"multi-vc-sharded", nil, 3, true},
+		{"multi-vc-sharded", nil, 3, true, false},
+		// Turn-graph routing depends on the arrival port, so it never
+		// compiles: every routed header takes the direct-evaluation
+		// fallback, which must reuse the shard's scratch too.
+		{"turn-graph-direct", nil, 0, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
@@ -100,11 +106,16 @@ func TestWholeRunZeroAllocs(t *testing.T) {
 				Metrics:       tc.m,
 				Shards:        tc.shards,
 			}
-			if tc.multVC {
+			switch {
+			case tc.multVC:
 				topo := topology.NewTorus(8, 2)
 				cfg.VCAlgorithm = routing.NewDatelineDOR(topo)
 				cfg.Pattern = traffic.NewUniform(topo)
-			} else {
+			case tc.turns:
+				topo := topology.NewMesh(8, 8)
+				cfg.Algorithm = routing.NewTurnGraphRouting(topo, core.WestFirstSet(), true)
+				cfg.Pattern = traffic.NewUniform(topo)
+			default:
 				topo := topology.NewMesh(8, 8)
 				cfg.Algorithm = routing.NewNegativeFirst(topo)
 				cfg.Pattern = traffic.NewUniform(topo)
@@ -121,7 +132,17 @@ func TestWholeRunZeroAllocs(t *testing.T) {
 			e.stats.windowStart = e.cycle
 			e.stats.backlogStartFlits = e.backlogFlits()
 			e.stats.backlogStartValid = true
-			for i := 0; i < 3000; i++ {
+			warmup := 3000
+			if tc.turns {
+				// Direct evaluation warms slower: each destination's
+				// reachability map and each buffer's candidate storage
+				// appear on first use.
+				warmup = 20000
+				if e.table != nil {
+					t.Fatal("turn-graph relation compiled; the case would not cover direct evaluation")
+				}
+			}
+			for i := 0; i < warmup; i++ {
 				e.step()
 				e.cycle++
 			}

@@ -730,8 +730,8 @@ func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32, st *al
 			VC:  int(b.port) % e.vcs,
 		}
 	}
-	raw := e.alg.CandidatesVC(cur, pkt.dst, inp, st.rawCands[:0])
-	st.rawCands = raw[:0]
+	raw, dirs := routing.Evaluate(e.alg, cur, pkt.dst, inp, st.rawCands[:0], st.rawDirs)
+	st.rawCands, st.rawDirs = raw[:0], dirs
 	if inp.Injected && pkt.firstDir != nil {
 		// Scripted first hop: honor it when offered.
 		kept := raw[:0]

@@ -214,6 +214,7 @@ type allocState struct {
 	// Per-router scratch, reused across routers and cycles.
 	waiting   []int32                    // inputs with an eligible header, len vport
 	rawCands  []routing.VirtualDirection // CandidatesVC result buffer
+	rawDirs   []topology.Direction       // routing.Evaluate scratch
 	freeCands []routing.Candidate        // candidates whose output is free
 	profCands []routing.Candidate        // distance-reducing subset
 
@@ -328,6 +329,7 @@ func (e *Engine) initShards(n, ndim2 int) {
 			deferred:  ns > 1,
 			waiting:   make([]int32, e.vport),
 			rawCands:  make([]routing.VirtualDirection, 0, ndim2*e.vcs),
+			rawDirs:   make([]topology.Direction, 0, ndim2),
 			freeCands: make([]routing.Candidate, 0, ndim2*e.vcs),
 			profCands: make([]routing.Candidate, 0, ndim2*e.vcs),
 		}

@@ -108,6 +108,11 @@ type Topology struct {
 	dims    []int
 	strides []int
 	nodes   int
+	// coords caches every node's coordinate vector, node-major:
+	// coords[id*len(dims)+dim]. CoordOf is the innermost call of
+	// Distance, MinDelta and HasChannel, so it is one load instead of two
+	// integer divisions.
+	coords []int32
 	// disabled marks faulty channels by dense channel ID.
 	disabled []bool
 	// faultEpoch increments whenever the fault set changes, so routing
@@ -169,6 +174,14 @@ func build(kind Kind, dims []int) *Topology {
 		dims:    append([]int(nil), dims...),
 		strides: strides,
 		nodes:   n,
+		coords:  make([]int32, n*len(dims)),
+	}
+	for id := 0; id < n; id++ {
+		v := id
+		for i, k := range dims {
+			t.coords[id*len(dims)+i] = int32(v % k)
+			v /= k
+		}
 	}
 	t.disabled = make([]bool, t.NumChannelIDs())
 	return t
@@ -213,17 +226,15 @@ func (t *Topology) Coord(id NodeID) Coord {
 // CoordInto writes the coordinate vector of id into dst, which must have
 // length NumDims.
 func (t *Topology) CoordInto(id NodeID, dst Coord) {
-	v := int(id)
-	for i, k := range t.dims {
-		dst[i] = v % k
-		v /= k
+	for i, c := range t.coords[int(id)*len(t.dims):][:len(t.dims)] {
+		dst[i] = int(c)
 	}
 }
 
 // CoordOf returns the coordinate of node id along dimension dim without
 // allocating.
 func (t *Topology) CoordOf(id NodeID, dim int) int {
-	return int(id) / t.strides[dim] % t.dims[dim]
+	return int(t.coords[int(id)*len(t.dims)+dim])
 }
 
 // ID returns the node at coordinate c. It panics on a malformed

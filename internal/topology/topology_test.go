@@ -29,6 +29,34 @@ func TestCoordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCoordCacheMatchesDivision: the cached coordinates equal the mixed
+// radix formula x_dim = id / (k_0 ... k_{dim-1}) mod k_dim for every
+// node of non-square, 3-D, torus and hypercube topologies.
+func TestCoordCacheMatchesDivision(t *testing.T) {
+	for _, topo := range []*Topology{
+		NewMesh(5, 3),
+		NewMesh(3, 4, 2),
+		NewTorus(5, 3),
+		NewHypercube(6),
+	} {
+		c := make(Coord, topo.NumDims())
+		for id := NodeID(0); id < NodeID(topo.Nodes()); id++ {
+			topo.CoordInto(id, c)
+			stride := 1
+			for dim, k := range topo.Dims() {
+				want := int(id) / stride % k
+				if got := topo.CoordOf(id, dim); got != want {
+					t.Fatalf("%v: CoordOf(%d, %d) = %d, want %d", topo, id, dim, got, want)
+				}
+				if c[dim] != want {
+					t.Fatalf("%v: CoordInto(%d)[%d] = %d, want %d", topo, id, dim, c[dim], want)
+				}
+				stride *= k
+			}
+		}
+	}
+}
+
 func TestCoordRoundTripProperty(t *testing.T) {
 	topo := NewMesh(7, 3, 5, 2)
 	f := func(raw uint32) bool {
