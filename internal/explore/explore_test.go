@@ -103,6 +103,24 @@ func campaignFor(t *testing.T, s *Screening, dir, name string) *Campaign {
 	}
 }
 
+// runKilled runs c, a campaign that StopAfter kills, with its first
+// StopAfter figures already in exp's sweep cache: they complete before
+// any leaf starts, so the stop lands ahead of every remaining leaf.
+// Left to scheduling, a loaded host could delay the completion callback
+// that closes the stop channel until every leaf had run, and the
+// "killed" run would finish.
+func runKilled(t *testing.T, c *Campaign) error {
+	t.Helper()
+	specs, err := c.specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.RunFigureSet(specs[:c.StopAfter], c.Opts, nil); err != nil {
+		t.Fatal(err)
+	}
+	return c.Run()
+}
+
 // TestCampaignResume is the kill-and-resume contract: cancel a
 // campaign after a few completed figures, rerun it against the same
 // checkpoint log, and the finished leaderboard must be byte identical
@@ -115,7 +133,7 @@ func TestCampaignResume(t *testing.T) {
 	killed := campaignFor(t, s, dir, "resumed")
 	killed.StopAfter = 3
 	killed.Opts.Workers = 1
-	if err := killed.Run(); err != exp.ErrCanceled {
+	if err := runKilled(t, killed); err != exp.ErrCanceled {
 		t.Fatalf("killed run returned %v, want exp.ErrCanceled", err)
 	}
 	logged, err := loadLog(killed.LogPath)
@@ -196,7 +214,7 @@ func TestCampaignTornTailThenAppend(t *testing.T) {
 	killed.Opts.Seed = 11
 	killed.StopAfter = 1
 	killed.Opts.Workers = 1
-	if err := killed.Run(); err != exp.ErrCanceled {
+	if err := runKilled(t, killed); err != exp.ErrCanceled {
 		t.Fatalf("killed run returned %v, want exp.ErrCanceled", err)
 	}
 	f, err := os.OpenFile(killed.LogPath, os.O_WRONLY|os.O_APPEND, 0)

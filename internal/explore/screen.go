@@ -125,8 +125,13 @@ func Screen(t *topology.Topology) *Screening {
 // minimalConnected reports whether the minimal turn-graph relation of
 // key delivers between every ordered pair of t's nodes.
 func minimalConnected(t *topology.Topology, key uint16) bool {
-	alg := routing.NewTurnGraphRouting(t, core.SetFromKey2D(key), true)
-	n := topology.NodeID(t.Nodes())
+	return connected(routing.NewTurnGraphRouting(t, core.SetFromKey2D(key), true))
+}
+
+// connected reports whether alg delivers between every ordered pair of
+// its topology's nodes.
+func connected(alg *routing.TurnGraphRouting) bool {
+	n := topology.NodeID(alg.Topology().Nodes())
 	for src := topology.NodeID(0); src < n; src++ {
 		for dst := topology.NodeID(0); dst < n; dst++ {
 			if src != dst && !alg.CanRoute(src, dst) {

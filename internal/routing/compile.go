@@ -28,11 +28,16 @@ import (
 // time; a relation that genuinely depends on the arrival port fails
 // compilation and the simulator falls back to direct evaluation.
 
-// MaxTableNodes bounds the topologies worth compiling: a table is
-// quadratic in the node count (two spans per node pair), so beyond this
-// size compilation is refused and callers fall back to direct
-// evaluation.
+// MaxTableNodes bounds the topologies worth compiling: a table's route
+// index holds one two-byte entry per (node, destination) pair, so it is
+// quadratic in the node count, and beyond this size compilation is
+// refused and callers fall back to direct evaluation.
 const MaxTableNodes = 1024
+
+// A route entry names one of its node's list pairs, of which there are
+// at most one per destination; this conversion stops compiling if
+// MaxTableNodes outgrows the uint16 entry.
+const _ = uint16(MaxTableNodes - 1)
 
 // ArrivalInvariant marks a VCAlgorithm whose CandidatesVC result is
 // independent of the arrival port: for fixed (cur, dst), every VCInPort
@@ -86,23 +91,30 @@ func OutIndex(v topology.NodeID, d topology.Direction, vc, ndim, vcs int) int32 
 type span struct{ start, end int32 }
 
 // Table is a compiled routing relation: per (node, destination) pair,
-// the filtered candidate lists for injected and arrived headers, stored
-// in one flat arena. A table is immutable after compilation and safe
-// for concurrent readers; it is valid only at the fault epoch it was
-// compiled at (see Epoch and TableFor).
+// the filtered candidate lists for injected and arrived headers. A
+// table is immutable after compilation and safe for concurrent readers;
+// it is valid only at the fault epoch it was compiled at (see Epoch and
+// TableFor).
+//
+// The lists live in one flat arena, interned per source node as
+// (injected, arrived) pairs: on a 2-D mesh every destination in one
+// direction class shares a pair, so a node holds a handful of pairs and
+// each (node, destination) entry is just a two-byte pair index.
 type Table struct {
 	alg   VCAlgorithm
 	topo  *topology.Topology
 	epoch int
 	n     int
-	// spans holds two entries per (cur, dst) pair at (cur*n+dst)*2:
-	// the injected list, then the arrived list.
-	spans []span
-	// cands is the arena. Lists are interned per source node: every span
-	// of node cur with equal contents — the injected and arrived lists of
-	// one pair (they differ only under WrapFirstHop), and the pairs whose
-	// destinations lie in the same direction class — points at one copy,
-	// so the arena holds a few lists per node instead of one per pair.
+	// route holds, at cur*n+dst, the index of the pair serving that
+	// destination within cur's block of pairs.
+	route []uint16
+	// nodeBase[cur] is where cur's block starts in pairs. Entry 0 of
+	// every block is the empty pair, which dst == cur keeps.
+	nodeBase []int32
+	// pairs holds each node's distinct (injected, arrived) spans. The two
+	// spans of a pair alias one arena copy when the lists agree (they
+	// differ only under WrapFirstHop).
+	pairs [][2]span
 	cands []Candidate
 }
 
@@ -118,18 +130,18 @@ func (t *Table) Epoch() int { return t.epoch }
 // arena with its capacity clipped to its length; callers must treat it
 // as read-only.
 func (t *Table) Lookup(cur, dst topology.NodeID, injected bool) []Candidate {
-	i := (int(cur)*t.n + int(dst)) * 2
-	if !injected {
-		i++
+	p := &t.pairs[int(t.nodeBase[cur])+int(t.route[int(cur)*t.n+int(dst)])]
+	s := p[1]
+	if injected {
+		s = p[0]
 	}
-	s := t.spans[i]
 	return t.cands[s.start:s.end:s.end]
 }
 
-// MemoryBytes estimates the table's footprint, for capacity planning
-// and the DESIGN.md numbers.
+// MemoryBytes reports the bytes the table's slices hold (their
+// capacities), for capacity planning and the DESIGN.md numbers.
 func (t *Table) MemoryBytes() int {
-	return len(t.spans)*8 + len(t.cands)*8
+	return cap(t.route)*2 + cap(t.nodeBase)*4 + cap(t.pairs)*16 + cap(t.cands)*8
 }
 
 // compiler is one compilation's reusable state: the evaluation scratch
@@ -142,15 +154,15 @@ type compiler struct {
 	vcs  int
 	raw  []VirtualDirection
 	dirs []topology.Direction
-	// index maps a candidate list's hash to the arena span of the list
-	// interned under it. It holds one source node's lists and is reset
-	// between nodes, since Candidate.Out makes lists at different nodes
-	// distinct.
-	index map[uint64]span
+	// index maps the hash of an (injected, arrived) list pair to the
+	// block index of the pair interned under it. It holds one source
+	// node's pairs and is reset between nodes, since Candidate.Out makes
+	// lists at different nodes distinct.
+	index map[uint64]uint16
 }
 
 func newCompiler(alg VCAlgorithm) *compiler {
-	return &compiler{alg: alg, t: alg.Topology(), vcs: alg.NumVCs(), index: map[uint64]span{}}
+	return &compiler{alg: alg, t: alg.Topology(), vcs: alg.NumVCs(), index: map[uint64]uint16{}}
 }
 
 // cands evaluates the relation once and appends to out the result of the
@@ -184,33 +196,55 @@ func (c *compiler) cands(cur, dst topology.NodeID, in VCInPort, out []Candidate)
 	return out
 }
 
-// intern returns a span of tab's arena holding list, appending list only
-// when the current source node has not produced an equal one yet. A
-// list whose hash collides with a different list is simply stored
-// again: the table stays exact, only that copy goes unshared.
-func (c *compiler) intern(tab *Table, list []Candidate) span {
-	if len(list) == 0 {
-		return span{}
+// intern returns the index, within the current node's block of pairs
+// starting at base, of a pair holding inj and arr, appending the pair
+// (and its lists to the arena) only when the node has not produced an
+// equal one yet. Both lists are hashed together, so a pair costs one
+// index lookup. A pair whose hash collides with a different pair is
+// simply stored again: the table stays exact, only that copy goes
+// unshared.
+func (c *compiler) intern(tab *Table, base int, inj, arr []Candidate) uint16 {
+	h := hashPair(inj, arr)
+	if i, ok := c.index[h]; ok {
+		p := tab.pairs[base+int(i)]
+		if candsEqual(tab.list(p[0]), inj) && candsEqual(tab.list(p[1]), arr) {
+			return i
+		}
 	}
-	h := hashCands(list)
-	if s, ok := c.index[h]; ok && candsEqual(tab.cands[s.start:s.end], list) {
-		return s
+	p := [2]span{appendSpan(tab, inj)}
+	if candsEqual(inj, arr) {
+		p[1] = p[0]
+	} else {
+		p[1] = appendSpan(tab, arr)
 	}
-	s := appendSpan(tab, list)
-	c.index[h] = s
-	return s
+	i := uint16(len(tab.pairs) - base)
+	tab.pairs = append(tab.pairs, p)
+	c.index[h] = i
+	return i
 }
 
-// hashCands is FNV-1a over the candidates' fields.
-func hashCands(list []Candidate) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
+func (t *Table) list(s span) []Candidate { return t.cands[s.start:s.end] }
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashPair is FNV-1a over inj's candidates, a separator word no
+// candidate encodes to (their low byte is 0 or 1), then arr's.
+func hashPair(inj, arr []Candidate) uint64 {
+	h := (hashCands(fnvOffset, inj) ^ 0xff) * fnvPrime
+	return hashCands(h, arr)
+}
+
+// hashCands continues the FNV-1a hash h over the candidates' fields.
+func hashCands(h uint64, list []Candidate) uint64 {
 	for _, c := range list {
 		v := uint64(uint32(c.Out))<<24 | uint64(c.Dir)<<16 | uint64(c.VC)<<8
 		if c.Prof {
 			v |= 1
 		}
-		h = (h ^ v) * prime
+		h = (h ^ v) * fnvPrime
 	}
 	return h
 }
@@ -261,20 +295,24 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 	}
 	invariant := isArrivalInvariant(alg)
 	tab := &Table{
-		alg:   alg,
-		topo:  t,
-		epoch: t.FaultEpoch(),
-		n:     n,
-		spans: make([]span, n*n*2),
+		alg:      alg,
+		topo:     t,
+		epoch:    t.FaultEpoch(),
+		n:        n,
+		route:    make([]uint16, n*n),
+		nodeBase: make([]int32, n),
 	}
 	c := newCompiler(alg)
 	var injList, arrList, probe []Candidate
 	for cur := 0; cur < n; cur++ {
 		curID := topology.NodeID(cur)
 		clear(c.index)
+		base := len(tab.pairs)
+		tab.nodeBase[cur] = int32(base)
+		tab.pairs = append(tab.pairs, [2]span{})
 		for dst := 0; dst < n; dst++ {
 			if dst == cur {
-				continue // headers at their destination eject; both spans stay empty
+				continue // headers at their destination eject: the empty pair 0
 			}
 			dstID := topology.NodeID(dst)
 			injList = c.cands(curID, dstID, VCInjected, injList[:0])
@@ -307,9 +345,7 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 					arrList = append(arrList[:0], injList...)
 				}
 			}
-			si := (cur*n + dst) * 2
-			tab.spans[si] = c.intern(tab, injList)
-			tab.spans[si+1] = c.intern(tab, arrList)
+			tab.route[cur*n+dst] = c.intern(tab, base, injList, arrList)
 		}
 	}
 	return tab, nil
