@@ -10,20 +10,15 @@
 //
 //	benchjson [-o BENCH_4.json] [-benchtime 2s] [-quick]
 //	          [-baseline BENCH_3.json|none] [-only substring]
-//	          [-max-allocs N] [-shards 0,4] [-cpu N]
+//	          [-max-allocs N] [-cpu N]
 //
 // With no -baseline, the highest-numbered BENCH_*.json in the current
-// directory (other than the -o target) is used when one exists.
-// -shards measures each figure benchmark at the listed engine shard
-// counts (0 = serial, -1 = auto); every entry records the gomaxprocs
-// and shard setting it ran under, and the delta table warns when a
-// baseline entry was taken at a different setting instead of silently
-// comparing incomparable numbers. -cpu sets GOMAXPROCS for the whole
-// run; the report header records both it and the machine's NumCPU, so
-// a reader can tell a genuine multi-core measurement from one taken
-// on a single-core box. Measuring shards > 1 when either gomaxprocs
-// or numcpu is 1 earns a loud warning: the shard workers then
-// time-share one core, so such numbers show barrier overhead only.
+// directory (other than the -o target) is used when one exists. Every
+// entry records the gomaxprocs it ran under, and the delta table warns
+// when a baseline entry was taken at a different setting instead of
+// silently comparing incomparable numbers. -cpu sets GOMAXPROCS for
+// the whole run; the report header records both it and the machine's
+// NumCPU.
 // -max-allocs turns the run into a regression gate: if any measured
 // benchmark allocates more than N allocations per op, benchjson exits
 // nonzero. CI runs one quick benchmark under a checked-in ceiling so a
@@ -70,11 +65,9 @@ var figureBenches = []struct {
 	{"Fig16ReverseFlipCube", "fig16", 2.5},
 }
 
-// classBenches covers the switching classes the conflict-partitioned
-// move phase parallelizes, one whole-simulation entry per class, so the
-// BENCH trajectory records the sharded-move behavior of multi-VC and
-// chained store-and-forward configurations — the two classes that fell
-// back to serial before PR 8 — alongside the wormhole baseline.
+// classBenches covers the switching classes, one whole-simulation entry
+// per class: multi-VC, strict and chained store-and-forward alongside
+// the wormhole baseline.
 var classBenches = []struct {
 	Name string
 	Cfg  func() sim.Config
@@ -126,17 +119,10 @@ type record struct {
 	Iterations   int     `json:"iterations"`
 	AvgLatencyUs float64 `json:"latency_us"`
 	Throughput   float64 `json:"tput_flits_per_us"`
-	// GoMaxProcs and Shards record the execution environment per entry
-	// (older baselines carry neither and report zero; the delta table
-	// falls back to the report-level gomaxprocs). Shards is the engine
-	// shard count the simulation ran with, 0 for the serial engine.
+	// GoMaxProcs records the execution environment per entry (older
+	// baselines lack it and report zero; the delta table falls back to
+	// the report-level gomaxprocs).
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
-	Shards     int `json:"shards,omitempty"`
-	// MoveMode records whether the move phase actually ran sharded or
-	// serial for this entry (sim.MoveMode), so BENCH files are
-	// self-describing instead of requiring commit archaeology to learn
-	// which classes the sharded move covered at the time.
-	MoveMode string `json:"move_mode,omitempty"`
 }
 
 type report struct {
@@ -162,30 +148,10 @@ func run() int {
 	baseline := flag.String("baseline", "", "previous BENCH_*.json to print deltas against; default: highest-numbered in cwd; 'none' disables")
 	only := flag.String("only", "", "run only benchmarks whose name contains this substring")
 	maxAllocs := flag.Int64("max-allocs", 0, "fail (exit 1) if any benchmark exceeds this many allocs/op (0 disables)")
-	shardsFlag := flag.String("shards", "0", "comma-separated engine shard counts to measure (0 = serial engine, -1 = auto; non-serial counts get a /shards=N name suffix)")
 	cpu := flag.Int("cpu", 0, "set GOMAXPROCS for the run (0 keeps the environment's value)")
 	flag.Parse()
 	if *cpu > 0 {
 		runtime.GOMAXPROCS(*cpu)
-	}
-	var shardCounts []int
-	for _, s := range strings.Split(*shardsFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || (n < 0 && n != sim.ShardsAuto) {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -shards entry %q\n", s)
-			return 2
-		}
-		shardCounts = append(shardCounts, n)
-	}
-	// One warning per invocation, not one per shard entry: the problem
-	// is the machine configuration, not any individual count.
-	if cores := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); cores == 1 {
-		for _, n := range shardCounts {
-			if n > 1 {
-				fmt.Fprintf(os.Stderr, "benchjson: WARNING: measuring shards=%d with gomaxprocs=%d, numcpu=%d — the shard workers time-share one core, so these numbers show barrier overhead only; multi-core speedup cannot manifest. Re-run with -cpu N (N >= 2) on a multi-core machine for a meaningful measurement.\n", n, runtime.GOMAXPROCS(0), runtime.NumCPU())
-				break
-			}
-		}
 	}
 	if *quick {
 		*benchtime = "2x"
@@ -203,23 +169,11 @@ func run() int {
 		NumCPU:     runtime.NumCPU(),
 	}
 	ran := 0
-	measure := func(name string, cfg sim.Config, shards int) error {
-		// Serial entries keep their historical names so older baselines
-		// still match; sharded and auto lines are distinct benchmarks
-		// with their own trajectory.
-		if shards == sim.ShardsAuto {
-			name += "/shards=auto"
-		} else if shards > 1 {
-			name += fmt.Sprintf("/shards=%d", shards)
-		}
+	measure := func(name string, cfg sim.Config) error {
 		if *only != "" && !strings.Contains(name, *only) {
 			return nil
 		}
 		ran++
-		mode, err := sim.MoveMode(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
 		var last sim.Result
 		var simErr error
 		bench := func(b *testing.B) {
@@ -248,8 +202,6 @@ func run() int {
 			AvgLatencyUs: last.AvgLatency,
 			Throughput:   last.Throughput,
 			GoMaxProcs:   rep.GoMaxProcs,
-			Shards:       shards,
-			MoveMode:     mode,
 		})
 		return nil
 	}
@@ -265,36 +217,26 @@ func run() int {
 		t := exp.SharedTopology(f.Topology)
 		pat := f.Pattern(t)
 		for _, alg := range exp.SharedAlgorithms(t, f.Algs(t)) {
-			for _, shards := range shardCounts {
-				cfg := sim.Config{
-					Algorithm:     alg,
-					Pattern:       pat,
-					OfferedLoad:   fb.Load,
-					WarmupCycles:  2000,
-					MeasureCycles: 6000,
-					Shards:        shards,
-				}
-				if err := measure(fb.Name+"/"+alg.Name(), cfg, shards); err != nil {
-					fmt.Fprintln(os.Stderr, "benchjson:", err)
-					return 1
-				}
+			cfg := sim.Config{
+				Algorithm:     alg,
+				Pattern:       pat,
+				OfferedLoad:   fb.Load,
+				WarmupCycles:  2000,
+				MeasureCycles: 6000,
+			}
+			if err := measure(fb.Name+"/"+alg.Name(), cfg); err != nil {
+				fmt.Fprintln(os.Stderr, "benchjson:", err)
+				return 1
 			}
 		}
 	}
 	for _, cb := range classBenches {
-		// One config per class, shared across shard counts: the shard
-		// variants then reuse the same relation instance and compiled
-		// table instead of rebuilding both per entry.
-		base := cb.Cfg()
-		base.WarmupCycles = 2000
-		base.MeasureCycles = 6000
-		for _, shards := range shardCounts {
-			cfg := base
-			cfg.Shards = shards
-			if err := measure(cb.Name, cfg, shards); err != nil {
-				fmt.Fprintln(os.Stderr, "benchjson:", err)
-				return 1
-			}
+		cfg := cb.Cfg()
+		cfg.WarmupCycles = 2000
+		cfg.MeasureCycles = 6000
+		if err := measure(cb.Name, cfg); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			return 1
 		}
 	}
 	// Screening micro-benchmarks: one op = screening the full 256-set 2D
@@ -459,11 +401,10 @@ func effGoMaxProcs(r record, rep *report) int {
 }
 
 // printDeltas renders an old->new comparison table for every benchmark
-// present in both reports. Entries whose execution environment changed
-// — a different gomaxprocs, or a different engine shard count under
-// the same name — are flagged with a warning instead of being silently
-// compared: ns/op across different parallelism settings measures the
-// machine, not the change.
+// present in both reports. Entries measured at a different gomaxprocs
+// are flagged with a warning instead of being silently compared: ns/op
+// across different parallelism settings measures the machine, not the
+// change.
 func printDeltas(w *os.File, base, cur *report) {
 	old := map[string]record{}
 	for _, r := range base.Benchmarks {
@@ -477,10 +418,6 @@ func printDeltas(w *os.File, base, cur *report) {
 		if bg, cg := effGoMaxProcs(o, base), effGoMaxProcs(r, cur); bg != cg {
 			fmt.Fprintf(w, "benchjson: WARNING: %s: baseline measured at gomaxprocs=%d, this run at gomaxprocs=%d; deltas compare machines, not changes\n",
 				r.Name, bg, cg)
-		}
-		if o.Shards != r.Shards {
-			fmt.Fprintf(w, "benchjson: WARNING: %s: baseline measured with shards=%d, this run with shards=%d; deltas compare configurations, not changes\n",
-				r.Name, o.Shards, r.Shards)
 		}
 	}
 	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)

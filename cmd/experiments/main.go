@@ -33,8 +33,7 @@ func run() int {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<id>.txt")
 	jsonDir := flag.String("json", "", "also write simulation figures as <dir>/<id>.json")
-	workers := flag.Int("workers", 0, "concurrent simulations across figures and sweeps (0 = GOMAXPROCS; shares a budget with -shards)")
-	shards := flag.Int("shards", 0, "engine shards per simulation (0 = serial, -1 = auto: batch whole simulations per core when the sweep is wide enough; results identical)")
+	workers := flag.Int("workers", 0, "concurrent simulations across figures and sweeps (0 = GOMAXPROCS)")
 	metricsDir := flag.String("metrics", "", "attach metric collectors to every simulation and write per-figure dumps to <dir>/<id>.metrics.json")
 	metricsInterval := flag.Int64("metrics-interval", 0, "metrics time-series sampling cadence in cycles (0 = default)")
 	progress := flag.Bool("progress", false, "print progress/ETA lines to stderr as sweep simulations complete")
@@ -64,7 +63,7 @@ func run() int {
 	}
 
 	opts := exp.Options{
-		Quick: *quick, Seed: *seed, Workers: *workers, Shards: *shards,
+		Quick: *quick, Seed: *seed, Workers: *workers,
 		MetricsDir: *metricsDir, MetricsInterval: *metricsInterval,
 	}
 	if *progress {

@@ -6,7 +6,7 @@
 // violation, which makes it suitable as a CI chaos smoke test:
 //
 //	faultstorm -topo mesh8x8 -alg west-first -campaigns 4 -rate 2 -recovery 512
-//	faultstorm -topo torus6x2 -classes wormhole,multivc,chained-saf -shards 2
+//	faultstorm -topo torus6x2 -classes wormhole,multivc,chained-saf
 //
 // Each campaign perturbs the seed, so one invocation covers several
 // independent fault schedules, and -classes repeats them per switching
@@ -43,7 +43,6 @@ func main() {
 	rate := flag.Float64("rate", 2, "fault onsets per 1000 cycles")
 	mttr := flag.Int64("mttr", 2000, "mean time to repair in cycles (0 = permanent faults)")
 	campaigns := flag.Int("campaigns", 4, "independent fault campaigns to run")
-	shards := flag.Int("shards", 0, "engine shards (0 = serial, -1 = auto from GOMAXPROCS and network size; results identical)")
 	recovery := flag.Int64("recovery", 512, "deadlock-recovery watchdog threshold in cycles (0 = recovery off)")
 	retries := flag.Int("retries", 8, "recovery retry budget per packet (negative = drop on first abort)")
 	backoff := flag.Int64("backoff", 0, "base retry backoff in cycles (0 = recovery threshold)")
@@ -90,7 +89,6 @@ func main() {
 				MeasureCycles:     *cycles - *cycles/4,
 				Seed:              *seed + int64(i),
 				MisrouteAfter:     *misroute,
-				Shards:            *shards,
 				FaultPlan:         plan,
 				RecoveryThreshold: *recovery,
 				RetryLimit:        *retries,

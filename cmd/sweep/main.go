@@ -34,8 +34,7 @@ func run() error {
 	warmup := flag.Int64("warmup", 10000, "warmup cycles")
 	measure := flag.Int64("measure", 40000, "measurement cycles")
 	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS; shares a budget with -shards)")
-	shards := flag.Int("shards", 0, "engine shards per simulation (0 = serial, -1 = auto: batch whole simulations per core when the sweep is wide enough; results identical)")
+	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	metricsDir := flag.String("metrics", "", "attach metric collectors and write a per-algorithm dump to <dir>/<alg>.metrics.json")
 	metricsInterval := flag.Int64("metrics-interval", 0, "metrics time-series sampling cadence in cycles (0 = default)")
 	progress := flag.Bool("progress", false, "print progress/ETA lines to stderr as simulations complete")
@@ -64,7 +63,7 @@ func run() error {
 	}
 
 	opts := exp.Options{
-		Seed: *seed, Warmup: *warmup, Measure: *measure, Workers: *workers, Shards: *shards,
+		Seed: *seed, Warmup: *warmup, Measure: *measure, Workers: *workers,
 		MetricsDir: *metricsDir, MetricsInterval: *metricsInterval,
 	}
 	if *progress {

@@ -8,7 +8,7 @@
 //
 //	turnscan [-mesh 8x8] [-screen-only] [-quick] [-seed N]
 //	         [-loads 0.5,1.0,...] [-patterns uniform,transpose]
-//	         [-workers N] [-shards N] [-log path] [-out path]
+//	         [-workers N] [-log path] [-out path]
 //	         [-stop-after N]
 //
 // The campaign checkpoints every completed figure to the JSONL log
@@ -44,8 +44,7 @@ func run() int {
 	seed := flag.Int64("seed", 1, "random seed for the stochastic sweeps")
 	loads := flag.String("loads", "", "comma-separated offered loads in flits/us/node (default: the campaign sweep)")
 	patterns := flag.String("patterns", "uniform,transpose", "comma-separated traffic patterns")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS; shares a budget with -shards)")
-	shards := flag.Int("shards", 0, "engine shards per simulation (0 = serial, -1 = auto)")
+	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	logPath := flag.String("log", "results/turnscan.jsonl", "JSONL checkpoint log (appended on resume)")
 	outPath := flag.String("out", "results/turnscan.md", "leaderboard output path")
 	stopAfter := flag.Int("stop-after", 0, "cancel after N completed figures (kill half of the kill-and-resume test)")
@@ -71,7 +70,7 @@ func run() int {
 		return 0
 	}
 
-	opts := exp.Options{Quick: *quick, Seed: *seed, Workers: *workers, Shards: *shards}
+	opts := exp.Options{Quick: *quick, Seed: *seed, Workers: *workers}
 	if *loads != "" {
 		for _, part := range strings.Split(*loads, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)

@@ -42,7 +42,6 @@ func main() {
 	switching := flag.String("switching", "wormhole", "switching: wormhole, saf, vct")
 	misroute := flag.Int64("misroute", 0, "misroute patience in cycles (0 = relation as-is)")
 	delay := flag.Int64("delay", 0, "extra router decision delay in cycles")
-	shards := flag.Int("shards", 0, "engine shards: split each cycle's parallelizable phases across this many goroutines (0 = serial, -1 = auto from GOMAXPROCS and network size; results identical)")
 	verbose := flag.Bool("v", false, "print percentiles and channel utilization")
 	record := flag.String("record", "", "record the workload to a trace file and exit (horizon = warmup+measure cycles)")
 	replay := flag.String("replay", "", "replay a recorded workload trace instead of generating traffic")
@@ -92,7 +91,6 @@ func main() {
 		Switching:     sw,
 		MisrouteAfter: *misroute,
 		RouterDelay:   *delay,
-		Shards:        *shards,
 
 		RecoveryThreshold: *recovery,
 		RetryLimit:        *retryLimit,

@@ -2,9 +2,11 @@ package exp
 
 import "sync"
 
-// RunFigureSet runs a batch of figure specs through one shared worker
-// pool — the PrefetchFigures fan-out — and invokes onDone serially as
-// each figure completes, in completion order. Cached figures complete
+// RunFigureSet runs a batch of figure specs concurrently — figures,
+// algorithm lines and load points all fan out over one worker pool of
+// o.workers() simulations — fills the figure cache, and invokes onDone
+// (when non-nil) serially as each figure completes, in completion
+// order. Cached figures complete
 // immediately (still through onDone), so a caller that checkpoints
 // completed figures can resume an interrupted batch and see every
 // figure exactly once. Figures that fail (including cancellation via
@@ -25,15 +27,12 @@ func RunFigureSet(figs []FigureSpec, o Options, onDone func(FigureSpec, []Sweep)
 		onDone(f, s)
 	}
 
-	// Split cached from pending first, so an auto shard request resolves
-	// against the true parallelism of the work that will actually run.
 	type pending struct {
 		i   int
 		f   FigureSpec
 		key string
 	}
 	var todo []pending
-	leaves := 0
 	for i, f := range figs {
 		key := cacheKey(f, o)
 		sweepMu.Lock()
@@ -44,17 +43,15 @@ func RunFigureSet(figs []FigureSpec, o Options, onDone func(FigureSpec, []Sweep)
 			continue
 		}
 		todo = append(todo, pending{i, f, key})
-		leaves += figureLeaves(f, o)
 	}
-	ro := o.resolveShards(leaves)
-	sem := make(chan struct{}, ro.workers())
+	sem := make(chan struct{}, o.workers())
 	errs := make([]error, len(figs))
 	var wg sync.WaitGroup
 	for _, p := range todo {
 		wg.Add(1)
 		go func(p pending) {
 			defer wg.Done()
-			sweeps, err := runFigure(p.f, ro, sem)
+			sweeps, err := runFigure(p.f, o, sem)
 			if err != nil {
 				errs[p.i] = err
 				return

@@ -85,7 +85,6 @@ func runDegrade(o Options, w io.Writer) error {
 				MeasureCycles:     o.measure(),
 				Seed:              o.Seed,
 				MisrouteAfter:     patience,
-				Shards:            o.Shards,
 				FaultPlan:         plan,
 				RecoveryThreshold: 2000,
 				RetryLimit:        8,

@@ -38,25 +38,10 @@ type Options struct {
 	// Workers bounds the simulations run concurrently across figures,
 	// algorithm lines and load points (0 means GOMAXPROCS). Results are
 	// bit-identical for any value: every simulation has its own seeded
-	// generator and lands in a preassigned slot.
-	//
-	// Workers and Shards share one concurrency budget: with Shards > 1
-	// each leaf simulation runs Shards goroutines of its own, so the
-	// effective worker count is capped at GOMAXPROCS / Shards (minimum
-	// one) — including explicit Workers values — keeping
-	// Workers × Shards from oversubscribing the machine.
+	// generator and lands in a preassigned slot. Leaves are the only
+	// unit of parallelism: each simulation runs serially on one
+	// goroutine.
 	Workers int
-	// Shards forwards sim.Config.Shards to every sweep simulation:
-	// the parallelizable phases of each cycle are split across that
-	// many worker goroutines inside the engine. 0 or 1 is serial.
-	// sim.ShardsAuto (-1) resolves automatically — and at the sweep
-	// level auto prefers whole-simulation batching (full sweep
-	// parallelism, serial engines) whenever a sweep offers at least
-	// GOMAXPROCS independent simulations, because batching scales
-	// linearly with zero synchronization while per-engine sharding
-	// pays a phase barrier every cycle. Results are bit-identical for
-	// any value.
-	Shards int
 	// MetricsDir, when set, attaches a metrics collector to every
 	// simulation and writes a per-figure summary dump
 	// (<dir>/<id>.metrics.json) next to each figure run. Attaching
@@ -134,57 +119,10 @@ func (o Options) canceled() bool {
 }
 
 func (o Options) workers() int {
-	if o.Shards == sim.ShardsAuto {
-		// Unresolved auto: each engine may claim up to GOMAXPROCS
-		// shard workers of its own, so run one simulation at a time.
-		// The sweep entry points resolve auto via resolveShards before
-		// sizing their semaphores, so this branch is only a safety net
-		// for direct callers.
-		return 1
-	}
-	if o.Shards > 1 {
-		// Each leaf simulation runs o.Shards goroutines, so the sweep
-		// budget shrinks to keep Workers × Shards within GOMAXPROCS.
-		// Explicit Workers values are clamped too: the shard workers
-		// are not optional once Shards is set.
-		max := runtime.GOMAXPROCS(0) / o.Shards
-		if max < 1 {
-			max = 1
-		}
-		if o.Workers > 0 && o.Workers < max {
-			return o.Workers
-		}
-		return max
-	}
 	if o.Workers > 0 {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// resolveShards returns a copy of o with an auto shard request
-// (sim.ShardsAuto) resolved against the sweep's shape; leaves is the
-// number of independent leaf simulations about to run. Batching whole
-// simulations per core scales linearly with zero synchronization,
-// while per-engine sharding pays a phase barrier every cycle and
-// rarely clears a 1.2x speedup per added core — so auto keeps engines
-// serial whenever there are enough leaves to occupy the machine with
-// batching alone, and only falls back to per-engine auto shards
-// (resolved inside the engine) when the sweep is too small.
-func (o Options) resolveShards(leaves int) Options {
-	if o.Shards != sim.ShardsAuto {
-		return o
-	}
-	if leaves >= runtime.GOMAXPROCS(0) {
-		o.Shards = 0
-	}
-	return o
-}
-
-// figureLeaves counts the independent leaf simulations of a figure
-// sweep: one per (algorithm line, load point) pair.
-func figureLeaves(f FigureSpec, o Options) int {
-	return len(f.Algs(f.Topology())) * len(o.loads(f.Loads))
 }
 
 func (o Options) warmup() int64 {
@@ -320,7 +258,6 @@ func (s Sweep) MaxSustainable() (thr, load float64) {
 // Options.Workers; results are deterministic regardless (each point has
 // its own seeded generator).
 func RunSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Options) (Sweep, error) {
-	o = o.resolveShards(len(loads))
 	prog := newProgress(o, alg.Name(), len(loads))
 	return runSweep(alg, pat, loads, o, make(chan struct{}, o.workers()), prog)
 }
@@ -363,7 +300,6 @@ func runSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Opt
 				MeasureCycles:     o.measure(),
 				Seed:              o.Seed + int64(load*1000),
 				DisableRouteTable: o.DisableRouteTables,
-				Shards:            o.Shards,
 			}
 			if o.Cancel != nil || !o.Deadline.IsZero() {
 				cfg.Stop = func() bool { return o.canceled() || o.expired() }
@@ -536,10 +472,10 @@ var cacheNeutralOptionFields = map[string]string{
 // parameters ARE present: cached sweeps run without collectors carry
 // no summaries, so a metrics-enabled request must not reuse them (and
 // vice versa) — though for MetricsDir only the enabled-ness is keyed,
-// not the path dumps land at. DisableRouteTables and Shards are
-// present even though results are bit-identical either way, so the A/B
-// determinism tests compare two genuine runs rather than one run
-// against its own cache entry.
+// not the path dumps land at. DisableRouteTables is present even
+// though results are bit-identical either way, so the A/B determinism
+// tests compare two genuine runs rather than one run against its own
+// cache entry.
 func cacheKey(f FigureSpec, o Options) string {
 	fields := map[string]any{"figure": f.ID}
 	v := reflect.ValueOf(o)
@@ -579,12 +515,8 @@ func RunFigure(f FigureSpec, o Options) ([]Sweep, error) {
 	s, cached := sweepCache[key]
 	sweepMu.Unlock()
 	if !cached {
-		// The cache key keeps the caller's (possibly auto) shard
-		// request; resolution only picks how the identical results are
-		// computed.
-		ro := o.resolveShards(figureLeaves(f, o))
 		var err error
-		s, err = runFigure(f, ro, make(chan struct{}, ro.workers()))
+		s, err = runFigure(f, o, make(chan struct{}, o.workers()))
 		if err != nil {
 			return nil, err
 		}
@@ -638,53 +570,7 @@ func runFigure(f FigureSpec, o Options, sem chan struct{}) ([]Sweep, error) {
 // RunFigure calls return instantly. Results are bit-identical to
 // sequential RunFigure calls.
 func PrefetchFigures(o Options, figs ...FigureSpec) error {
-	// Collect the uncached figures first, so an auto shard request is
-	// resolved against the true amount of sweep-level parallelism
-	// available across every figure about to run. Cache keys keep the
-	// caller's original options.
-	type pending struct {
-		i   int
-		f   FigureSpec
-		key string
-	}
-	var todo []pending
-	leaves := 0
-	for i, f := range figs {
-		key := cacheKey(f, o)
-		sweepMu.Lock()
-		_, cached := sweepCache[key]
-		sweepMu.Unlock()
-		if cached {
-			continue
-		}
-		todo = append(todo, pending{i, f, key})
-		leaves += figureLeaves(f, o)
-	}
-	ro := o.resolveShards(leaves)
-	sem := make(chan struct{}, ro.workers())
-	errs := make([]error, len(figs))
-	var wg sync.WaitGroup
-	for _, p := range todo {
-		wg.Add(1)
-		go func(p pending) {
-			defer wg.Done()
-			sweeps, err := runFigure(p.f, ro, sem)
-			if err != nil {
-				errs[p.i] = err
-				return
-			}
-			sweepMu.Lock()
-			sweepCache[p.key] = sweeps
-			sweepMu.Unlock()
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return RunFigureSet(figs, o, nil)
 }
 
 // WriteFigure renders a figure's series in the paper's axes: average

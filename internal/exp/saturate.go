@@ -33,7 +33,6 @@ func FindSaturation(alg routing.Algorithm, pat traffic.Pattern, lo, hi float64, 
 			WarmupCycles:  o.warmup(),
 			MeasureCycles: o.measure(),
 			Seed:          o.Seed + int64(load*10000),
-			Shards:        o.Shards,
 		})
 	}
 	best := Saturation{}

@@ -41,7 +41,7 @@ type Campaign struct {
 	// Opts.Loads empty means CampaignLoads.
 	Opts exp.Options
 	// LogPath is the JSONL checkpoint log, created if absent and
-	// appended to on resume.
+	// appended to on resume. Every record is fsynced as it is written.
 	LogPath string
 	// OutPath, when non-empty, receives the rendered leaderboard after
 	// every figure has a record.
@@ -240,10 +240,7 @@ func (c *Campaign) Run() error {
 	if err != nil {
 		return err
 	}
-	o := c.Opts
-	if len(o.Loads) == 0 {
-		o.Loads = CampaignLoads
-	}
+	o := c.options()
 	done, err := loadLog(c.LogPath)
 	if err != nil {
 		return err
@@ -275,7 +272,13 @@ func (c *Campaign) Run() error {
 			if err != nil {
 				panic(fmt.Sprintf("explore: record not serializable: %v", err))
 			}
-			if _, err := logf.Write(append(b, '\n')); err != nil && writeErr == nil {
+			// Each record is fsynced before the next figure's completion
+			// can be reported, so a crash never loses a checkpointed
+			// figure.
+			if _, err = logf.Write(append(b, '\n')); err == nil {
+				err = logf.Sync()
+			}
+			if err != nil && writeErr == nil {
 				// A figure that cannot be checkpointed would be lost to the
 				// next resume: stop the campaign and report it.
 				writeErr = fmt.Errorf("explore: checkpoint write failed: %w", err)
@@ -317,6 +320,16 @@ func (c *Campaign) Run() error {
 		return os.WriteFile(c.OutPath, []byte(buf.String()), 0o644)
 	}
 	return nil
+}
+
+// options returns the sweep options the campaign runs and keys its
+// records with: Opts, with CampaignLoads when Opts.Loads is empty.
+func (c *Campaign) options() exp.Options {
+	o := c.Opts
+	if len(o.Loads) == 0 {
+		o.Loads = CampaignLoads
+	}
+	return o
 }
 
 // mergeCancel returns a channel closed when either input closes.

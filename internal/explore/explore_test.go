@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -246,5 +247,45 @@ func TestCampaignTornTailThenAppend(t *testing.T) {
 	}
 	if _, ok := logged["dead"]; ok {
 		t.Error("the torn fragment loaded as a record")
+	}
+}
+
+// TestCheckedInCampaignCurrent: results/turnscan.jsonl is the checkpoint
+// of the default turnscan campaign (8x8 mesh, seed 1, campaign loads).
+// It must hold a record under the current exp.CacheKey of every figure
+// — a key drift (an exp.Options field added or removed) orphans the
+// records, and a resume then silently re-runs the whole campaign — and
+// the leaderboard rendered from it must be results/turnscan.md byte for
+// byte.
+func TestCheckedInCampaignCurrent(t *testing.T) {
+	results := filepath.Join("..", "..", "results")
+	c := &Campaign{Screen: Screen(topology.NewMesh(8, 8)), Opts: exp.Options{Seed: 1}}
+	o := c.options()
+	done, err := loadLog(filepath.Join(results, "turnscan.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := c.specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range specs {
+		if _, ok := done[exp.CacheKey(f, o)]; !ok {
+			t.Errorf("results/turnscan.jsonl has no record for %s under its current cache key; regenerate it with go run ./cmd/turnscan from an empty log", f.ID)
+		}
+	}
+	if t.Failed() {
+		return
+	}
+	var got bytes.Buffer
+	if err := c.WriteLeaderboard(&got, done, o); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(results, "turnscan.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("leaderboard rendered from results/turnscan.jsonl differs from results/turnscan.md:\n%s", got.Bytes())
 	}
 }

@@ -11,7 +11,7 @@
 // Everything here is deterministic: the same seed and parameters always
 // produce the same Plan, and a Driver applies events in a fixed order
 // (ascending cycle, insertion order within a cycle), so fault campaigns
-// compose with the engine's seeded determinism and sharded A/B tests.
+// compose with the engine's seeded determinism and its A/B tests.
 package fault
 
 import (

@@ -71,8 +71,7 @@ func (s JobState) replaceable() bool {
 
 // JobRequest is the POST /v1/jobs body: one figure sweep, mapping onto
 // exp.Options plus the figure identity. Concurrency is the server's
-// business — there is deliberately no workers field; Shards is honored
-// because internal/exp clamps Workers x Shards to the machine budget.
+// business — there is deliberately no workers field.
 type JobRequest struct {
 	// Figure is the sweep to run, e.g. "fig13" (see exp.Figures).
 	Figure string `json:"figure"`
@@ -85,8 +84,6 @@ type JobRequest struct {
 	// WarmupCycles and MeasureCycles override the simulation window.
 	WarmupCycles  int64 `json:"warmup_cycles,omitempty"`
 	MeasureCycles int64 `json:"measure_cycles,omitempty"`
-	// Shards is the per-engine shard count (0 serial, -1 auto).
-	Shards int `json:"shards,omitempty"`
 	// DisableRouteTables forces direct routing-relation evaluation, for
 	// A/B comparisons over HTTP.
 	DisableRouteTables bool `json:"disable_route_tables,omitempty"`
@@ -110,7 +107,6 @@ func (r JobRequest) options() exp.Options {
 		Loads:              r.Loads,
 		Warmup:             r.WarmupCycles,
 		Measure:            r.MeasureCycles,
-		Shards:             r.Shards,
 		DisableRouteTables: r.DisableRouteTables,
 	}
 }
@@ -123,9 +119,6 @@ func (r JobRequest) validate() (exp.FigureSpec, error) {
 	}
 	if r.WarmupCycles < 0 || r.MeasureCycles < 0 {
 		return exp.FigureSpec{}, fmt.Errorf("negative simulation window")
-	}
-	if r.Shards < -1 {
-		return exp.FigureSpec{}, fmt.Errorf("bad shard count %d", r.Shards)
 	}
 	if r.TimeoutSeconds < 0 {
 		return exp.FigureSpec{}, fmt.Errorf("negative timeout %v", r.TimeoutSeconds)

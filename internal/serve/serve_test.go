@@ -343,13 +343,20 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown figure = %d, want 400", resp.StatusCode)
 	}
-	raw, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"figure": 12}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw.Body.Close()
-	if raw.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body = %d, want 400", raw.StatusCode)
+	for name, body := range map[string]string{
+		"malformed body": `{"figure": 12}`,
+		// The engine is serial; the field that once selected a shard
+		// count is now unknown, and unknown fields are rejected.
+		"removed shards field": `{"figure":"fig13","quick":true,"shards":2}`,
+	} {
+		raw, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Body.Close()
+		if raw.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400", name, raw.StatusCode)
+		}
 	}
 	missing, err := http.Get(ts.URL + "/v1/jobs/deadbeef")
 	if err != nil {

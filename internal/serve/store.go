@@ -40,8 +40,7 @@ type Config struct {
 	// serially maximizes per-job latency without idling the machine.
 	Jobs int
 	// Workers is the total leaf-simulation concurrency budget shared by
-	// all running jobs (each job gets Workers/Jobs, and internal/exp
-	// further clamps Workers x Shards to GOMAXPROCS). Default
+	// all running jobs (each job gets Workers/Jobs). Default
 	// GOMAXPROCS.
 	Workers int
 	// JournalPath, when non-empty, makes the store crash-safe: every

@@ -20,16 +20,11 @@ import (
 // preallocated slices, incremented in place).
 func TestAllocateZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		m      *metrics.Collector
-		shards int
+		name string
+		m    *metrics.Collector
 	}{
-		{"metrics-disabled", nil, 0},
-		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), 0},
-		// The sharded phase must stay allocation-free too: per-shard
-		// scratch and commit logs are reused, and the worker pool is
-		// persistent (no goroutine spawns per cycle).
-		{"metrics-enabled-sharded", metrics.New(metrics.Config{Interval: 100}), 3},
+		{"metrics-disabled", nil},
+		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := topology.NewMesh(8, 8)
@@ -41,12 +36,10 @@ func TestAllocateZeroAllocs(t *testing.T) {
 				MeasureCycles: 1,
 				Seed:          3,
 				Metrics:       tc.m,
-				Shards:        tc.shards,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			for i := 0; i < 2000; i++ {
 				e.step()
 				e.cycle++
@@ -78,24 +71,19 @@ func TestWholeRunZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		m      *metrics.Collector
-		shards int
 		multVC bool
 		turns  bool
 	}{
-		{"metrics-disabled", nil, 0, false, false},
-		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), 0, false, false},
-		// Sharded steady state must hold the same bound: the worker pool
-		// parks between cycles instead of respawning, and the deferred
-		// commit logs grow to their high-water mark then stop.
-		{"metrics-enabled-sharded", metrics.New(metrics.Config{Interval: 100}), 3, false, false},
-		// Multi-VC sharded: the conflict-partitioned move's union-find,
-		// seed order, component assignment and op logs are all persistent
-		// scratch reset via dirty lists — steady state must not allocate.
-		{"multi-vc-sharded", nil, 3, true, false},
+		{"metrics-disabled", nil, false, false},
+		{"metrics-enabled", metrics.New(metrics.Config{Interval: 100}), false, false},
+		// Dateline virtual channels: the multi-VC move seeds its worklist
+		// through the cycle-rotated seed order, whose buffers are
+		// persistent scratch — steady state must not allocate.
+		{"multi-vc", nil, true, false},
 		// Turn-graph routing depends on the arrival port, so it never
 		// compiles: every routed header takes the direct-evaluation
-		// fallback, which must reuse the shard's scratch too.
-		{"turn-graph-direct", nil, 0, false, true},
+		// fallback, which must reuse the engine's scratch too.
+		{"turn-graph-direct", nil, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
@@ -104,7 +92,6 @@ func TestWholeRunZeroAllocs(t *testing.T) {
 				MeasureCycles: 1 << 30,
 				Seed:          3,
 				Metrics:       tc.m,
-				Shards:        tc.shards,
 			}
 			switch {
 			case tc.multVC:
@@ -124,7 +111,6 @@ func TestWholeRunZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			// Mirror the run loop's measurement-window switch, then warm
 			// until the histogram buckets, ring high-water marks and
 			// freelist cover the steady state.

@@ -28,7 +28,7 @@ func (b bitset) setAll(n int) {
 // appendTo appends every set bit to dst in ascending order and returns
 // the extended slice. It is forEach without the per-bit indirect call,
 // for per-cycle hot paths that materialize the set into a worklist
-// (the conflict-partitioned move's seed-order build).
+// (the multi-VC move's seed-order build).
 func (b bitset) appendTo(dst []int32) []int32 {
 	for w, word := range b {
 		base := int32(w << 6)
@@ -45,34 +45,6 @@ func (b bitset) appendTo(dst []int32) []int32 {
 // enumeration pass.
 func (b bitset) forEach(fn func(i int32)) {
 	for w, word := range b {
-		for word != 0 {
-			fn(int32(w<<6 + bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-}
-
-// forEachIn calls fn for every set bit i with lo <= i < hi, in
-// ascending order. It reads each word once up front, so it tolerates
-// concurrent range enumerations of disjoint [lo, hi) windows as long as
-// no bit is mutated during the pass (the sharded allocation phase's
-// contract: shard workers only read the worklists and defer updates to
-// the serial commit).
-func (b bitset) forEachIn(lo, hi int32, fn func(i int32)) {
-	if lo >= hi {
-		return
-	}
-	wlo, whi := int(lo>>6), int((hi-1)>>6)
-	for w := wlo; w <= whi; w++ {
-		word := b[w]
-		if w == wlo {
-			word &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if w == whi {
-			if rem := uint(hi) & 63; rem != 0 {
-				word &= 1<<rem - 1
-			}
-		}
 		for word != 0 {
 			fn(int32(w<<6 + bits.TrailingZeros64(word)))
 			word &= word - 1

@@ -5,21 +5,31 @@ import (
 	"testing"
 )
 
-// TestBitsetForEachIn: forEachIn backs both sharded phases' range
-// enumerations, so its word-boundary masking must be exact. Each case
-// is checked against a reference scan over get().
+// TestBitsetForEachIn: the engine's worklists hold sets confined to
+// arbitrary windows of the index space, and forEach/appendTo must
+// enumerate them exactly across every word-boundary class. Each case
+// sets only the pattern bits in [lo, hi), then checks both enumerations
+// against a reference scan over get(). forEach runs the allocation
+// worklist's way — clearing every visited bit — so the set must end
+// empty.
 func TestBitsetForEachIn(t *testing.T) {
 	const n = 300 // several words plus a partial tail word
-	b := newBitset(n)
 	// A pattern that straddles every boundary class: word edges, both
 	// sides of them, mid-word runs, and the last partial word.
-	for _, i := range []int32{0, 1, 62, 63, 64, 65, 100, 126, 127, 128, 191, 192, 255, 256, 298, 299} {
-		b.set(i)
+	pattern := []int32{0, 1, 62, 63, 64, 65, 100, 126, 127, 128, 191, 192, 255, 256, 298, 299}
+	window := func(lo, hi int32) bitset {
+		b := newBitset(n)
+		for _, i := range pattern {
+			if i >= lo && i < hi {
+				b.set(i)
+			}
+		}
+		return b
 	}
-	ref := func(lo, hi int32) []int32 {
+	ref := func(b bitset) []int32 {
 		var out []int32
-		for i := lo; i < hi; i++ {
-			if i >= 0 && int(i) < n && b.get(i) {
+		for i := int32(0); i < n; i++ {
+			if b.get(i) {
 				out = append(out, i)
 			}
 		}
@@ -46,30 +56,39 @@ func TestBitsetForEachIn(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			b := window(tc.lo, tc.hi)
+			want := ref(b)
+			if got := b.appendTo(nil); !reflect.DeepEqual(got, want) {
+				t.Errorf("appendTo over [%d, %d) = %v, want %v", tc.lo, tc.hi, got, want)
+			}
 			var got []int32
-			b.forEachIn(tc.lo, tc.hi, func(i int32) { got = append(got, i) })
-			want := ref(tc.lo, tc.hi)
+			b.forEach(func(i int32) {
+				got = append(got, i)
+				b.clear(i)
+			})
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("forEachIn(%d, %d) = %v, want %v", tc.lo, tc.hi, got, want)
+				t.Errorf("forEach over [%d, %d) = %v, want %v", tc.lo, tc.hi, got, want)
+			}
+			if left := b.appendTo(nil); len(left) != 0 {
+				t.Errorf("bits %v survive clearing every visited bit", left)
 			}
 		})
 	}
-	// Disjoint windows must tile exactly to a full enumeration — the
-	// sharded phases' partition contract.
+	// Disjoint windows must tile exactly to the full enumeration.
 	var tiled []int32
 	for _, edge := range [][2]int32{{0, 37}, {37, 64}, {64, 65}, {65, 192}, {192, n}} {
-		b.forEachIn(edge[0], edge[1], func(i int32) { tiled = append(tiled, i) })
+		window(edge[0], edge[1]).forEach(func(i int32) { tiled = append(tiled, i) })
 	}
 	var full []int32
-	b.forEach(func(i int32) { full = append(full, i) })
-	if !reflect.DeepEqual(tiled, full) {
-		t.Errorf("tiled windows enumerate %v, full scan %v", tiled, full)
+	window(0, n).forEach(func(i int32) { full = append(full, i) })
+	if !reflect.DeepEqual(tiled, full) || !reflect.DeepEqual(full, pattern) {
+		t.Errorf("tiled windows enumerate %v, full scan %v, pattern %v", tiled, full, pattern)
 	}
 }
 
 // TestBitsetAppendTo: appendTo is forEach flattened into a slice
-// append — the conflict-partitioned move builds its seed order with it
-// every cycle, so it must agree with forEach exactly and respect the
+// append — the multi-VC move builds its seed order with it every
+// cycle, so it must agree with forEach exactly and respect the
 // destination's existing contents.
 func TestBitsetAppendTo(t *testing.T) {
 	const n = 300

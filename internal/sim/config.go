@@ -185,26 +185,6 @@ type Config struct {
 	// so a packet can never revisit a channel (Section 2).
 	MisrouteAfter int64
 
-	// Shards splits the parallelizable phases of every cycle — the
-	// allocation propose (with the move pre-pass) and the
-	// conflict-partitioned move drain — across that many worker
-	// goroutines (routers statically partitioned into contiguous
-	// shards; the move phase instead partitions by conflict component,
-	// so every switching class shards, multi-VC and chained
-	// store-and-forward included). 0 or 1 runs serially, preserving the
-	// single-threaded behavior exactly; ShardsAuto (-1) sizes the count
-	// automatically as min(GOMAXPROCS, routers/64). Results are
-	// bit-identical for any value, including auto: workers mutate only
-	// shard-owned (or component-owned) state, and a serial commit
-	// applies grants, worklist updates, shared counters and observer
-	// events in the serial engine's order. Configurations whose
-	// allocation consumes the shared random stream in router-visit
-	// order (Input == RandomInput or Policy == RandomPolicy) silently
-	// fall back to serial execution, since any partition of those draws
-	// would change the stream. See DESIGN.md, "Deterministic sharded
-	// execution" and "Conflict-partitioned movement".
-	Shards int
-
 	// StrictAdvance disables chained advance: by default (false) a
 	// worm's trailing flits may move into buffers freed in the same
 	// cycle — the paper's synchronized-worm behaviour — while in strict
@@ -295,8 +275,8 @@ type Config struct {
 	// returns true the run ends early with Result.Stopped set. It is
 	// the cooperative cancellation hook for callers that host
 	// long-running simulations (the turnserver's per-job cancellation):
-	// the engine still tears down normally — worker pools released,
-	// fault state restored — and a stopped run's measurements cover
+	// the engine still tears down normally — fault state restored —
+	// and a stopped run's measurements cover
 	// only the cycles that actually ran, so callers should treat the
 	// result as partial. Leaving it nil costs nothing.
 	Stop func() bool
@@ -336,9 +316,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.DeadlockThreshold == 0 {
 		cfg.DeadlockThreshold = 10000
-	}
-	if cfg.Shards < 0 && cfg.Shards != ShardsAuto {
-		return cfg, fmt.Errorf("sim: negative shard count %d (use %d for auto)", cfg.Shards, ShardsAuto)
 	}
 	if cfg.RecoveryThreshold < 0 {
 		return cfg, fmt.Errorf("sim: negative recovery threshold %d", cfg.RecoveryThreshold)

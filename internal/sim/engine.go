@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"turnmodel/internal/fault"
 	"turnmodel/internal/metrics"
@@ -141,10 +140,11 @@ type Engine struct {
 	nextPktID int64
 	inFlight  int // packets generated but not yet fully delivered
 
-	// movement worklist membership (the worklists themselves live in the
-	// per-shard allocState scratch)
+	// inWork marks the inputs on the movement worklist (scratch.work);
+	// injUsed marks injection channels used this cycle, per injection
+	// input.
 	inWork  []bool
-	injUsed []bool // injection channel used this cycle, per injection input
+	injUsed []bool
 
 	// flowing marks the inputs the movement phase must attempt: a queued
 	// flit with an allocated output. Maintained incrementally so move
@@ -167,70 +167,20 @@ type Engine struct {
 	dirtyLinks []int32
 	dirtyInj   []int32
 
-	// shards holds the allocation-phase scratch, one entry per shard and
-	// reused every cycle so the steady-state hot path performs no heap
-	// allocations. Serial engines (nshards == 1) use shards[0] with
-	// deferred commits disabled; sharded engines partition routers into
-	// contiguous ranges [shardLo[s], shardLo[s+1]) and run one worker
-	// per shard (see shard.go).
-	shards      []allocState
-	oneShard    [1]allocState // backing for the serial case: no extra slice allocation per Run
-	nshards     int
-	shardLo     []int32
-	seedScratch []int32 // move seeding order buffer (vcs > 1)
+	// scratch is the per-cycle working storage of allocation and
+	// movement, reused every cycle so the steady-state hot path performs
+	// no heap allocations.
+	scratch allocState
 
-	// moveSharded marks engines whose move phase runs the conflict-
-	// partitioned parallel drain (every sharded engine: no switching
-	// class falls back to serial anymore). shardOf maps a router to its
-	// owning shard, the fallback owner for injection sweeps whose
-	// injection input is not part of any move component.
-	moveSharded bool
-	shardOf     []int32
+	// seedOrder is the cycle's flowing inputs in worklist push order
+	// when vcs > 1 (see buildSeedOrder); seedScratch is the flowing-set
+	// enumeration it is built from.
+	seedOrder   []int32
+	seedScratch []int32
 
-	// Conflict-partitioned move scratch (sharded engines only), all
-	// persistent and reset via dirty lists so steady state allocates
-	// nothing. seedOrder is the cycle's flowing inputs in the serial
-	// engine's worklist push order; seedShard maps each seed ordinal to
-	// the shard that drains its component. mvParent/mvSize are the
-	// union-find over input channels (valid only for mvEnum inputs,
-	// reset via mvTouched); mvStack is the component-discovery worklist;
-	// compShard maps a component root to its assigned shard (-1 until
-	// assignment); shardLoad counts seeds per shard for the balance
-	// heuristic; mergeCur is the commit's per-shard log cursor.
-	seedOrder []int32
-	seedShard []int32
-	mvParent  []int32
-	mvSize    []int32
-	mvTouched []int32
-	mvStack   []int32
-	compShard []int32
-	shardLoad []int32
-	mergeCur  []int32
-	mvEnum    []bool
-
-	// lenStart snapshots each buffer's length at the start of the move
-	// phase (strict-advance mode only, nil otherwise). Sharded engines
-	// fill it in the parallel pre-pass — buffer lengths cannot change
-	// between generation and movement — serial engines at the top of
-	// move.
+	// lenStart snapshots each buffer's length at the top of the move
+	// phase (strict-advance mode only, nil otherwise).
 	lenStart []int32
-	// readyBits memoizes readyToForward for store-and-forward runs under
-	// sharding: readyBits[in] == true guarantees the front packet's tail
-	// has arrived at input in. Every queue mutation clears the bit, so a
-	// set bit is always current; a clear bit falls back to the scan. The
-	// sharded pre-pass refreshes the bits for flowing inputs in parallel.
-	readyBits []bool
-
-	// gate coordinates the worker pool for sharded execution: one
-	// goroutine per shard above zero (shard zero runs on the stepping
-	// goroutine), started lazily at the first sharded cycle and parked
-	// on the gate between parallel regions. The pool stays warm across
-	// repeated runs; Close releases it. gateMu serializes pool
-	// start/teardown with region execution, making Close idempotent and
-	// safe to call concurrently with a run (see shard.go). Serial
-	// engines never touch either.
-	gateMu sync.Mutex
-	gate   *shardGate
 
 	// linkFlits counts flits carried per physical link during the
 	// measurement window, for utilization reporting.
@@ -272,6 +222,18 @@ type Engine struct {
 
 	// onDeliver, when set (tests), observes every delivered packet.
 	onDeliver func(*packet)
+}
+
+// allocState is the engine's reusable per-cycle scratch: the buffers
+// allocateRouter and fillCandCache filter candidates through, and the
+// movement worklist.
+type allocState struct {
+	waiting   []int32                    // inputs with an eligible header, len vport
+	rawCands  []routing.VirtualDirection // CandidatesVC result buffer
+	rawDirs   []topology.Direction       // routing.Evaluate scratch
+	freeCands []routing.Candidate        // candidates whose output is free
+	profCands []routing.Candidate        // distance-reducing subset
+	work      []int32                    // LIFO movement worklist
 }
 
 type runStats struct {
@@ -334,8 +296,17 @@ func New(cfg Config) (*Engine, error) {
 		allocWork:      newBitset(n),
 		lastFaultEpoch: int32(t.FaultEpoch()),
 		script:         c.Script,
+		scratch: allocState{
+			waiting:   make([]int32, vport),
+			rawCands:  make([]routing.VirtualDirection, 0, ndim2*vcs),
+			rawDirs:   make([]topology.Direction, 0, ndim2),
+			freeCands: make([]routing.Candidate, 0, ndim2*vcs),
+			profCands: make([]routing.Candidate, 0, ndim2*vcs),
+		},
 	}
-	e.initShards(n, ndim2)
+	if c.StrictAdvance {
+		e.lenStart = make([]int32, n*vport)
+	}
 	// Precompute the packet-length distribution's cumulative weights so
 	// drawLength no longer sums the weight vector per draw.
 	e.lenCum = make([]float64, len(c.LengthWeights))
@@ -546,13 +517,8 @@ func (e *Engine) allocate() {
 			e.table = routing.TableFor(e.alg)
 		}
 	}
-	if e.nshards > 1 {
-		e.allocateSharded(epoch)
-		return
-	}
-	st := &e.shards[0]
 	e.allocWork.forEach(func(v int32) {
-		if !e.allocateRouter(int(v), epoch, st) {
+		if !e.allocateRouter(int(v), epoch) {
 			e.allocWork.clear(v)
 		}
 	})
@@ -562,12 +528,9 @@ func (e *Engine) allocate() {
 // the router must stay on the allocation worklist (a pending header
 // whose eligibility or patience is time-driven, or — under the
 // random-input policy — any unallocated header, so the arbitration
-// random stream matches a full rescan exactly). st is the calling
-// shard's scratch; allocation touches only router-local state (busyBy
-// and inbufs entries of v's own ports, v's metrics counters), and
-// anything shared — worklist bitsets, observer callbacks — goes through
-// st, which defers it to the serial commit when the engine is sharded.
-func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
+// random stream matches a full rescan exactly).
+func (e *Engine) allocateRouter(v int, epoch int32) bool {
+	st := &e.scratch
 	base := v * e.vport
 	nw := 0
 	keep := false
@@ -616,13 +579,13 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 			if e.busyBy[out] < 0 {
 				e.busyBy[out] = in
 				b.allocOut = out
-				st.setFlowing(e, in)
+				e.flowing.set(in)
 				if e.m != nil {
 					e.m.Grants[v]++
 					e.m.WaitCycles[v] += e.cycle - b.headArrival
 				}
 				if e.cfg.Observer != nil {
-					st.observeAllocate(e, topology.NodeID(v), topology.Direction{}, 0, true)
+					e.cfg.Observer.Allocate(e.cycle, topology.NodeID(v), topology.Direction{}, 0, true)
 				}
 			} else {
 				blocked++
@@ -633,7 +596,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 			continue
 		}
 		if b.candPkt != pkt.id || b.candEpoch != epoch {
-			e.fillCandCache(v, b, pkt, epoch, st)
+			e.fillCandCache(v, b, pkt, epoch)
 		}
 		// Keep only candidates whose virtual output channel is free;
 		// existence, virtual-channel validity and fault state were
@@ -680,7 +643,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 		}
 		e.busyBy[c.Out] = in
 		b.allocOut = c.Out
-		st.setFlowing(e, in)
+		e.flowing.set(in)
 		if e.m != nil {
 			e.m.Grants[v]++
 			e.m.WaitCycles[v] += e.cycle - b.headArrival
@@ -692,7 +655,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 			}
 		}
 		if e.cfg.Observer != nil {
-			st.observeAllocate(e, topology.NodeID(v), c.Direction(), int(c.VC), false)
+			e.cfg.Observer.Allocate(e.cycle, topology.NodeID(v), c.Direction(), int(c.VC), false)
 		}
 	}
 	if blocked > 0 && e.cfg.Input == RandomInput {
@@ -712,7 +675,7 @@ func (e *Engine) allocateRouter(v int, epoch int32, st *allocState) bool {
 // directly into the buffer-owned fallback storage. Either way the list
 // keeps every candidate that exists, has a valid virtual channel, and
 // is not faulty; per-cycle allocation then only checks output busyness.
-func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32, st *allocState) {
+func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32) {
 	injected := int(b.port) == e.vport-1
 	cur := topology.NodeID(v)
 	if e.table != nil && !(injected && pkt.firstDir != nil) {
@@ -730,6 +693,7 @@ func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32, st *al
 			VC:  int(b.port) % e.vcs,
 		}
 	}
+	st := &e.scratch
 	raw, dirs := routing.Evaluate(e.alg, cur, pkt.dst, inp, st.rawCands[:0], st.rawDirs)
 	st.rawCands, st.rawDirs = raw[:0], dirs
 	if inp.Injected && pkt.firstDir != nil {
@@ -786,15 +750,11 @@ func (e *Engine) fillCandCache(v int, b *inbuf, pkt *packet, epoch int32, st *al
 	b.candEpoch = epoch
 }
 
-// pushWork schedules input buffer in for a movement attempt this cycle
-// on the calling shard's worklist. Sharded drains only ever push inputs
-// of their own components (cascade targets are component-local by
-// construction, see shard.go), so the shared inWork bytes have a single
-// writer per cycle.
-func (e *Engine) pushWork(in int32, st *allocState) {
+// pushWork schedules input buffer in for a movement attempt this cycle.
+func (e *Engine) pushWork(in int32) {
 	if in >= 0 && !e.inWork[in] {
 		e.inWork[in] = true
-		st.work = append(st.work, in)
+		e.scratch.work = append(e.scratch.work, in)
 	}
 }
 
@@ -808,16 +768,16 @@ func (e *Engine) pushAllocWork(r int32) { e.allocWork.set(r) }
 // preferred virtual channel is pushed last (the worklist pops LIFO) and
 // the preference rotates with the cycle, a round-robin that prevents one
 // virtual channel from starving the other.
-func (e *Engine) seedMoveWork(st *allocState) {
+func (e *Engine) seedMoveWork() {
 	if e.vcs == 1 {
 		// One virtual channel: ascending input order is exactly the
 		// arbitration order.
-		e.flowing.forEach(func(i int32) { e.pushWork(i, st) })
+		e.flowing.forEach(e.pushWork)
 		return
 	}
 	e.buildSeedOrder()
 	for _, i := range e.seedOrder {
-		e.pushWork(i, st)
+		e.pushWork(i)
 	}
 }
 
@@ -827,10 +787,6 @@ func (e *Engine) seedMoveWork(st *allocState) {
 // channels in the cycle-rotated round-robin order (the preferred channel
 // last, because the drain pops LIFO).
 func (e *Engine) buildSeedOrder() {
-	if e.vcs == 1 {
-		e.seedOrder = e.flowing.appendTo(e.seedOrder[:0])
-		return
-	}
 	e.seedOrder = e.seedOrder[:0]
 	buf := e.flowing.appendTo(e.seedScratch[:0])
 	e.seedScratch = buf[:0]
@@ -868,49 +824,38 @@ func (e *Engine) buildSeedOrder() {
 // in an order that rotates with the cycle count. In chained mode,
 // freeing a buffer slot immediately lets the upstream flit advance into
 // it (the worm moves as a synchronized train); in strict mode only space
-// available at the start of the cycle counts. Sharded engines run the
-// conflict-partitioned parallel drain (shard.go) for every switching
-// class; results are bit-identical to this serial path.
+// available at the start of the cycle counts.
 func (e *Engine) move() {
-	if e.cfg.StrictAdvance && e.nshards <= 1 {
-		// Sharded engines fill the snapshot in the parallel pre-pass
-		// (buffer lengths cannot change between generation and movement);
-		// serial engines do it here.
+	if e.cfg.StrictAdvance {
 		for i := range e.inbufs {
 			e.lenStart[i] = int32(len(e.inbufs[i].q))
 		}
 	}
-	if e.nshards > 1 {
-		e.moveParallel()
-		return
-	}
-	st := &e.shards[0]
+	w := &e.scratch
 	// inWork is all-false here: the previous drain popped (and cleared)
 	// every entry it pushed.
-	st.work = st.work[:0]
-	e.seedMoveWork(st)
+	w.work = w.work[:0]
+	e.seedMoveWork()
 	// Source-queue injections are attempted for every nonempty queue.
 	for v := range e.queues {
 		if e.queues[v].len() > 0 {
-			e.tryInject(topology.NodeID(v), st)
+			e.tryInject(topology.NodeID(v))
 		}
 	}
-	for len(st.work) > 0 {
-		in := st.work[len(st.work)-1]
-		st.work = st.work[:len(st.work)-1]
+	for len(w.work) > 0 {
+		in := w.work[len(w.work)-1]
+		w.work = w.work[:len(w.work)-1]
 		e.inWork[in] = false
-		e.moveOne(in, st)
+		e.moveOne(in)
 	}
 }
 
 // tryInject moves the next flit of the source queue's head packet into
 // the injection buffer, modeling the processor-to-router channel
-// (bandwidth one flit per cycle). Buffer and queue mutations happen
-// immediately; everything shared across components — bitsets, dirty
-// lists, metrics, observer callbacks, global counters — goes through
-// st.logInject, which applies it inline when serial and defers it to
-// the ordered commit when the drain runs sharded.
-func (e *Engine) tryInject(v topology.NodeID, st *allocState) {
+// (bandwidth one flit per cycle). It mutates the buffer and the queue,
+// then hands the rest — bitsets, dirty lists, metrics, observer
+// callback, global counters — to applyInject.
+func (e *Engine) tryInject(v topology.NodeID) {
 	q := &e.queues[v]
 	if q.len() == 0 {
 		return
@@ -944,14 +889,26 @@ func (e *Engine) tryInject(v topology.NodeID, st *allocState) {
 	if f.tail {
 		q.pop()
 	}
-	st.logInject(e, in, p, flag)
+	e.applyInject(in, p, flag)
 }
 
-// applyInject performs the shared-state side of one injection: metrics,
+// Move-effect flags: the facts tryInject and moveOne establish while
+// mutating buffers and channel holds, which the apply functions act on.
+// fWakeSelf folds the release wake-up and the new-front-header wake-up
+// together — both target the moving input's own router, and the
+// allocation worklist bit is idempotent.
+const (
+	fHead      uint8 = 1 << iota // the moved flit was a header
+	fTail                        // the moved flit was a tail (deliver/release)
+	fFlowSet                     // set the destination's flowing bit
+	fFlowClear                   // clear the source's flowing bit
+	fWakeSelf                    // wake the source router's allocation scan
+	fWakeDest                    // wake the destination router's allocation scan
+)
+
+// applyInject performs the bookkeeping side of one injection: metrics,
 // the flowing bit, the allocation wake-up, the observer callback and the
-// global counters, in the serial engine's order. Serial engines call it
-// inline from tryInject; sharded drains log the call and the commit
-// replays it in ascending node order.
+// global counters.
 func (e *Engine) applyInject(in int32, p *packet, flag uint8) {
 	if e.m != nil {
 		e.m.Occupancy[int(in)/e.vport]++
@@ -984,22 +941,12 @@ func (e *Engine) hasSpace(in int32, b *inbuf) bool {
 // the front flit of a network input buffer: store-and-forward holds a
 // packet until its tail flit has arrived; wormhole and virtual
 // cut-through forward immediately. Injection buffers are exempt (the
-// source queue is the source node's packet store). Sharded engines
-// consult the readyBits memo first: a set bit was computed by the
-// pre-pass against the exact same queue contents (every mutation
-// clears it), skipping the tail scan.
-func (e *Engine) readyToForward(in int32, b *inbuf) bool {
+// source queue is the source node's packet store).
+func (e *Engine) readyToForward(b *inbuf) bool {
 	if !e.cfg.holdsWholePacket() || int(b.port) == e.vport-1 {
 		return true
 	}
-	if e.readyBits != nil && e.readyBits[in] {
-		return true
-	}
-	return e.tailAtFront(b)
-}
-
-// tailAtFront scans a nonempty buffer for the front packet's tail flit.
-func (e *Engine) tailAtFront(b *inbuf) bool {
+	// Scan the nonempty buffer for the front packet's tail flit.
 	front := b.q[0].p
 	for i := len(b.q) - 1; i >= 0; i-- {
 		if b.q[i].p == front {
@@ -1011,12 +958,10 @@ func (e *Engine) tailAtFront(b *inbuf) bool {
 
 // moveOne attempts to advance the front flit of input buffer in. Like
 // tryInject, it mutates buffers, channel holds and packet bookkeeping in
-// place and routes every cross-component side effect through st.logMove:
-// serial engines apply the shared-state bundle inline at the same point
-// in the schedule, sharded drains defer it to the ordered commit. The
-// bundle flags capture post-mutation facts (queue emptied, head/tail,
-// wake-ups due), so the replay needs no access to drain-time state.
-func (e *Engine) moveOne(in int32, st *allocState) {
+// place, then hands the rest to applyEject or applyForward; the flags
+// carry the post-mutation facts (queue emptied, head/tail, wake-ups
+// due) those need.
+func (e *Engine) moveOne(in int32) {
 	b := &e.inbufs[in]
 	if len(b.q) == 0 || b.allocOut < 0 {
 		return
@@ -1026,7 +971,7 @@ func (e *Engine) moveOne(in int32, st *allocState) {
 	if e.linkUsed[phys] {
 		return
 	}
-	if !e.readyToForward(in, b) {
+	if !e.readyToForward(b) {
 		return
 	}
 	f := b.q[0]
@@ -1035,7 +980,7 @@ func (e *Engine) moveOne(in int32, st *allocState) {
 		// Ejection: the destination processor consumes immediately.
 		e.linkUsed[phys] = true
 		var flag uint8
-		if e.popFrontQ(in, b) {
+		if popFrontQ(b) {
 			flag |= fFlowClear
 		}
 		f.p.flitsDelivered++
@@ -1048,8 +993,8 @@ func (e *Engine) moveOne(in int32, st *allocState) {
 			flag |= fTail | fFlowClear | fWakeSelf
 			e.releaseCh(in, out)
 		}
-		st.logMove(e, moEject, in, out, flag, f.p)
-		e.cascade(in, b, st)
+		e.applyEject(in, out, flag, f.p)
+		e.cascade(in, b)
 		return
 	}
 	db := &e.inbufs[dest]
@@ -1061,13 +1006,10 @@ func (e *Engine) moveOne(in int32, st *allocState) {
 	if f.head {
 		flag |= fHead
 	}
-	if e.popFrontQ(in, b) {
+	if popFrontQ(b) {
 		flag |= fFlowClear
 	}
 	db.q = append(db.q, f)
-	if e.readyBits != nil {
-		e.readyBits[dest] = false
-	}
 	if db.allocOut >= 0 {
 		flag |= fFlowSet
 	}
@@ -1083,13 +1025,13 @@ func (e *Engine) moveOne(in int32, st *allocState) {
 		flag |= fTail | fFlowClear | fWakeSelf
 		e.releaseCh(in, out)
 	}
-	st.logMove(e, moForward, in, out, flag, nil)
-	e.cascade(in, b, st)
+	e.applyForward(in, out, flag)
+	e.cascade(in, b)
 }
 
-// applyEject performs the shared-state side of one ejection move:
+// applyEject performs the bookkeeping side of one ejection move:
 // metrics, link accounting, delivery finalization, the flowing bit and
-// the wake-up, in the serial engine's order.
+// the wake-up.
 func (e *Engine) applyEject(in, out int32, flag uint8, p *packet) {
 	phys := e.physOf[out]
 	e.dirtyLinks = append(e.dirtyLinks, phys)
@@ -1117,10 +1059,8 @@ func (e *Engine) applyEject(in, out int32, flag uint8, p *packet) {
 	e.countDeliveredFlit()
 }
 
-// applyForward performs the shared-state side of one link traversal:
-// metrics, the observer callback, both flowing bits and the wake-ups,
-// in the serial engine's order. dest and phys are recomputed from the
-// static topology arrays, so the op log carries only (in, out, flags).
+// applyForward performs the bookkeeping side of one link traversal:
+// metrics, the observer callback, both flowing bits and the wake-ups.
 func (e *Engine) applyForward(in, out int32, flag uint8) {
 	phys := e.physOf[out]
 	dest := e.outDest[out]
@@ -1156,40 +1096,33 @@ func (e *Engine) applyForward(in, out int32, flag uint8) {
 	}
 }
 
-// popFrontQ removes the front flit of input buffer in and reports
-// whether the buffer is now empty (the caller folds that into the
-// bundle's flowing-clear flag).
-func (e *Engine) popFrontQ(in int32, b *inbuf) bool {
+// popFrontQ removes the front flit of buffer b and reports whether the
+// buffer is now empty (the caller folds that into the flowing-clear
+// flag).
+func popFrontQ(b *inbuf) bool {
 	copy(b.q, b.q[1:])
 	b.q = b.q[:len(b.q)-1]
-	if e.readyBits != nil {
-		e.readyBits[in] = false
-	}
 	return len(b.q) == 0
 }
 
 // releaseCh frees the virtual output channel held through input in after
 // the tail flit passed. The flowing clear and the allocation wake-up
-// ride the move bundle's flags.
+// ride the move flags.
 func (e *Engine) releaseCh(in, out int32) {
 	e.busyBy[out] = -1
 	e.inbufs[in].allocOut = -1
 }
 
 // cascade schedules the feeder of input buffer in, which may now have
-// space to receive a flit (chained advance). Under a sharded drain both
-// targets are component-local: the feeder held its channel when the
-// components were built (channel holds only get released, never
-// acquired, during movement), so the feeder edge put it in in's
-// component, and the injection path touches only in's own router.
-func (e *Engine) cascade(in int32, b *inbuf, st *allocState) {
+// space to receive a flit (chained advance).
+func (e *Engine) cascade(in int32, b *inbuf) {
 	if e.cfg.StrictAdvance {
 		return
 	}
 	if int(b.port) == e.vport-1 {
 		// Injection buffer freed: the source queue may inject.
 		v := topology.NodeID(int(in) / e.vport)
-		e.tryInject(v, st)
+		e.tryInject(v)
 		return
 	}
 	up := e.upOut[in]
@@ -1198,7 +1131,7 @@ func (e *Engine) cascade(in int32, b *inbuf, st *allocState) {
 	}
 	feeder := e.busyBy[up]
 	if feeder >= 0 {
-		e.pushWork(feeder, st)
+		e.pushWork(feeder)
 	}
 }
 

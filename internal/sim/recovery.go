@@ -14,10 +14,6 @@ import (
 // retry budget. With recovery, a would-be Deadlocked run becomes a run
 // whose packets are each Delivered, retried-and-Delivered, or Dropped,
 // with full accounting in Result. See DESIGN.md, "Deadlock recovery".
-//
-// Recovery runs in the serial pre-generate phase of step, so it is
-// shard-safe by construction: shard workers only run inside the
-// allocate and move propose regions, both later in the cycle.
 
 // retryEntry is one aborted packet waiting out its backoff.
 type retryEntry struct {
@@ -125,9 +121,6 @@ func (e *Engine) abortWorm(hin int32) {
 			copy(cb.q, cb.q[k:])
 			cb.q = cb.q[:rest]
 			drained += k
-			if e.readyBits != nil {
-				e.readyBits[cur] = false
-			}
 			router := int(cur) / e.vport
 			if e.m != nil {
 				e.m.Occupancy[router] -= int32(k)

@@ -125,9 +125,8 @@ func (r Result) String() string {
 // application and deadlock recovery (both usually disabled and then
 // free), message generation, output allocation, link reset, and flit
 // movement. The caller owns the cycle counter (it increments e.cycle
-// afterwards). Faults and recovery run first — serially, before any
-// shard worker exists this cycle — so allocation always sees a
-// consistent fault set and drained buffers, and recovery observer
+// afterwards). Faults and recovery run first, so allocation always sees
+// a consistent fault set and drained buffers, and recovery observer
 // events precede every other event of the same cycle.
 func (e *Engine) step() {
 	if e.faults != nil {
@@ -165,14 +164,10 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	defer e.Close() // release the shard workers, if any were started
 	return e.run(), nil
 }
 
 func (e *Engine) run() Result {
-	// The engine's owner closes the worker pool: run itself leaves it
-	// warm, so an engine driven through multiple runs or step sequences
-	// reuses the same goroutines instead of respawning them per run.
 	defer e.restoreFaults() // heal whatever the fault plan left disabled
 	res := Result{
 		Algorithm:   e.alg.Name(),

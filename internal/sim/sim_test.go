@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"turnmodel/internal/routing"
@@ -495,5 +496,30 @@ func TestHypercubeSimulation(t *testing.T) {
 	}
 	if math.Abs(res.AvgHops-4.0) > 0.3 {
 		t.Errorf("uniform 8-cube average hops %.2f, want about 4.0", res.AvgHops)
+	}
+}
+
+// TestStopEndsRunEarly: Config.Stop is the cooperative cancellation
+// hook; a run whose Stop fires must end promptly with Result.Stopped.
+func TestStopEndsRunEarly(t *testing.T) {
+	topo := topology.NewMesh(4, 4)
+	var polls atomic.Int64
+	r, err := Run(Config{
+		Algorithm:     routing.NewWestFirst(topo),
+		Pattern:       traffic.NewUniform(topo),
+		OfferedLoad:   1.0,
+		WarmupCycles:  1 << 30, // would run forever without Stop
+		MeasureCycles: 1,
+		Seed:          3,
+		Stop:          func() bool { return polls.Add(1) > 4 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Stopped {
+		t.Fatal("run completed without Stopped despite Stop firing")
+	}
+	if r.Cycles > 64*1024 {
+		t.Fatalf("stopped run still simulated %d cycles", r.Cycles)
 	}
 }

@@ -74,25 +74,3 @@ func (c *Config) effectiveDepth() int {
 // The injection buffer is exempt: the source queue plays the role of the
 // source node's packet buffer.
 func (c *Config) holdsWholePacket() bool { return c.Switching == StoreAndForward }
-
-// MoveMode reports how the configuration's move phase executes:
-// "sharded" when the conflict-partitioned parallel move is engaged, or
-// "serial" when the engine resolves to a single shard (Shards <= 1, a
-// network too small for the configured count, or a randomized
-// allocation policy that pins the whole cycle to one goroutine). Since
-// the conflict-partitioned move covers every switching class, the mode
-// depends only on the resolved shard count, never on Switching or the
-// VC width — but callers (cmd/benchjson records each entry's move_mode)
-// should query rather than re-derive the resolution rules. It builds
-// and discards an engine, so it also surfaces any configuration error.
-func MoveMode(cfg Config) (string, error) {
-	e, err := New(cfg)
-	if err != nil {
-		return "", err
-	}
-	defer e.Close()
-	if e.moveSharded {
-		return "sharded", nil
-	}
-	return "serial", nil
-}
