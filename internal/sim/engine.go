@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -152,6 +153,16 @@ type Engine struct {
 	// buffer (see DESIGN.md, "Performance architecture").
 	flowing bitset
 
+	// stalled marks the inputs that hold an output whose downstream
+	// buffer is full; moveOne would fail for them without mutating
+	// anything, so the move drain skips them. stalledLow is the subset
+	// whose downstream buffer has the lower index: that buffer is seeded
+	// earlier and popped later, so the holder's seeded attempt always
+	// fails and seedMoveWork leaves it out. Both are kept exact at every
+	// grant, forward, pop and release (see DESIGN.md, "Stalled inputs").
+	stalled    bitset
+	stalledLow bitset
+
 	// allocWork marks routers that may hold a header awaiting output
 	// allocation. Bits are set when a header reaches the front of an
 	// input buffer and when one of the router's outputs is released, and
@@ -293,6 +304,8 @@ func New(cfg Config) (*Engine, error) {
 		nextGen:        make([]float64, n),
 		inWork:         make([]bool, n*vport),
 		flowing:        newBitset(n * vport),
+		stalled:        newBitset(n * vport),
+		stalledLow:     newBitset(n * vport),
 		allocWork:      newBitset(n),
 		lastFaultEpoch: int32(t.FaultEpoch()),
 		script:         c.Script,
@@ -644,6 +657,9 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 		e.busyBy[c.Out] = in
 		b.allocOut = c.Out
 		e.flowing.set(in)
+		if dest := e.outDest[c.Out]; len(e.inbufs[dest].q) >= e.depth {
+			e.stall(in, c.Out, dest)
+		}
 		if e.m != nil {
 			e.m.Grants[v]++
 			e.m.WaitCycles[v] += e.cycle - b.headArrival
@@ -767,17 +783,31 @@ func (e *Engine) pushAllocWork(r int32) { e.allocWork.set(r) }
 // ascending, injection channel last. Within each physical direction the
 // preferred virtual channel is pushed last (the worklist pops LIFO) and
 // the preference rotates with the cycle, a round-robin that prevents one
-// virtual channel from starving the other.
+// virtual channel from starving the other. Inputs in stalledLow are left
+// out: their seeded attempt would fail, and the pop of their downstream
+// buffer pushes them at the moment a failed attempt would have let it.
 func (e *Engine) seedMoveWork() {
 	if e.vcs == 1 {
 		// One virtual channel: ascending input order is exactly the
-		// arbitration order.
-		e.flowing.forEach(e.pushWork)
+		// arbitration order. inWork is all-false, so every bit pushes.
+		w := &e.scratch
+		for i, word := range e.flowing {
+			word &^= e.stalledLow[i]
+			base := int32(i << 6)
+			for word != 0 {
+				in := base + int32(bits.TrailingZeros64(word))
+				e.inWork[in] = true
+				w.work = append(w.work, in)
+				word &= word - 1
+			}
+		}
 		return
 	}
 	e.buildSeedOrder()
 	for _, i := range e.seedOrder {
-		e.pushWork(i)
+		if !e.stalledLow.get(i) {
+			e.pushWork(i)
+		}
 	}
 }
 
@@ -846,7 +876,9 @@ func (e *Engine) move() {
 		in := w.work[len(w.work)-1]
 		w.work = w.work[:len(w.work)-1]
 		e.inWork[in] = false
-		e.moveOne(in)
+		if !e.stalled.get(in) {
+			e.moveOne(in)
+		}
 	}
 }
 
@@ -983,6 +1015,7 @@ func (e *Engine) moveOne(in int32) {
 		if popFrontQ(b) {
 			flag |= fFlowClear
 		}
+		feeder := e.unstallFeeder(in)
 		f.p.flitsDelivered++
 		f.p.lastProgress = e.cycle
 		if f.tail {
@@ -994,7 +1027,7 @@ func (e *Engine) moveOne(in int32) {
 			e.releaseCh(in, out)
 		}
 		e.applyEject(in, out, flag, f.p)
-		e.cascade(in, b)
+		e.cascade(in, b, feeder)
 		return
 	}
 	db := &e.inbufs[dest]
@@ -1009,6 +1042,7 @@ func (e *Engine) moveOne(in int32) {
 	if popFrontQ(b) {
 		flag |= fFlowClear
 	}
+	feeder := e.unstallFeeder(in)
 	db.q = append(db.q, f)
 	if db.allocOut >= 0 {
 		flag |= fFlowSet
@@ -1024,9 +1058,14 @@ func (e *Engine) moveOne(in int32) {
 	if f.tail {
 		flag |= fTail | fFlowClear | fWakeSelf
 		e.releaseCh(in, out)
+	} else if len(db.q) >= e.depth {
+		// The flit filled dest: the worm's next flit must wait for it.
+		// A tail releases the output instead, and its input was not
+		// stalled (dest had space), so there is nothing to clear.
+		e.stall(in, out, dest)
 	}
 	e.applyForward(in, out, flag)
-	e.cascade(in, b)
+	e.cascade(in, b, feeder)
 }
 
 // applyEject performs the bookkeeping side of one ejection move:
@@ -1113,9 +1152,35 @@ func (e *Engine) releaseCh(in, out int32) {
 	e.inbufs[in].allocOut = -1
 }
 
-// cascade schedules the feeder of input buffer in, which may now have
-// space to receive a flit (chained advance).
-func (e *Engine) cascade(in int32, b *inbuf) {
+// stall marks input in, which holds output out, as waiting on out's
+// full downstream buffer dest.
+func (e *Engine) stall(in, out, dest int32) {
+	e.stalled.set(in)
+	if dest < out {
+		e.stalledLow.set(in)
+	}
+}
+
+// unstallFeeder is called after a pop left input buffer in below
+// capacity: the input holding the channel into it (its feeder), if any,
+// is no longer stalled. It returns the feeder, or -1.
+func (e *Engine) unstallFeeder(in int32) int32 {
+	up := e.upOut[in]
+	if up < 0 {
+		return -1
+	}
+	feeder := e.busyBy[up]
+	if feeder >= 0 {
+		e.stalled.clear(feeder)
+		e.stalledLow.clear(feeder)
+	}
+	return feeder
+}
+
+// cascade schedules feeder, the input holding the channel into buffer
+// in (or -1), which may now have space to receive a flit (chained
+// advance).
+func (e *Engine) cascade(in int32, b *inbuf, feeder int32) {
 	if e.cfg.StrictAdvance {
 		return
 	}
@@ -1125,14 +1190,7 @@ func (e *Engine) cascade(in int32, b *inbuf) {
 		e.tryInject(v)
 		return
 	}
-	up := e.upOut[in]
-	if up < 0 {
-		return
-	}
-	feeder := e.busyBy[up]
-	if feeder >= 0 {
-		e.pushWork(feeder)
-	}
+	e.pushWork(feeder)
 }
 
 // deliver finalizes a packet whose tail was consumed.

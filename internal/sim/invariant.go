@@ -13,6 +13,9 @@ import (
 //   - buffer bounds: no input buffer exceeds the configured depth;
 //   - flowing consistency: an input is marked flowing iff it holds a
 //     flit and an allocated output;
+//   - stalled consistency: an input is marked stalled iff it holds an
+//     output whose downstream buffer is full, and stalledLow iff it is
+//     stalled and that buffer's index is below the output's;
 //   - flit conservation: flits injected == flits delivered + flits
 //     drained by recovery + flits currently sitting in buffers;
 //   - packet conservation: the set of distinct packets in source
@@ -58,6 +61,18 @@ func (e *Engine) CheckInvariants() error {
 		if got := e.flowing.get(int32(in)); got != wantFlowing {
 			return fmt.Errorf("input %d: flowing = %v, want %v (allocOut %d, %d flits)",
 				in, got, wantFlowing, b.allocOut, len(b.q))
+		}
+		wantStalled, wantLow := false, false
+		if b.allocOut >= 0 {
+			if dest := e.outDest[b.allocOut]; dest >= 0 && len(e.inbufs[dest].q) >= e.depth {
+				wantStalled, wantLow = true, dest < b.allocOut
+			}
+		}
+		if got := e.stalled.get(int32(in)); got != wantStalled {
+			return fmt.Errorf("input %d: stalled = %v, want %v (allocOut %d)", in, got, wantStalled, b.allocOut)
+		}
+		if got := e.stalledLow.get(int32(in)); got != wantLow {
+			return fmt.Errorf("input %d: stalledLow = %v, want %v (allocOut %d)", in, got, wantLow, b.allocOut)
 		}
 	}
 	if e.flitsInjectedEver != e.flitsDeliveredEver+e.flitsDrainedEver+buffered {

@@ -15,6 +15,12 @@ import (
 // switching class, where whole-run benches blend it with the allocation
 // phase and statistics.
 func benchMovePhase(b *testing.B, mk func() Config) {
+	benchMovePhaseAfter(b, 2000, mk)
+}
+
+// benchMovePhaseAfter is benchMovePhase with warmup cycles before the
+// timed phases, and returns the warmed engine.
+func benchMovePhaseAfter(b *testing.B, warmup int, mk func() Config) *Engine {
 	cfg := mk()
 	// Never start measuring: the latency histogram may grow, and this
 	// bench wants the pure steady-state move cost.
@@ -24,7 +30,7 @@ func benchMovePhase(b *testing.B, mk func() Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < warmup; i++ {
 		e.step()
 		e.cycle++
 	}
@@ -51,6 +57,7 @@ func benchMovePhase(b *testing.B, mk func() Config) {
 		b.StopTimer()
 		e.cycle++
 	}
+	return e
 }
 
 // BenchmarkMoveWormhole: the baseline single-VC wormhole class.
@@ -111,4 +118,45 @@ func BenchmarkMoveChainedSAF(b *testing.B) {
 			Seed:        3,
 		}
 	})
+}
+
+// BenchmarkMoveSaturated: the benchmark's mesh32 configuration (32x32
+// negative-first, matrix transpose, 1.5 flits/us/node), warmed past
+// saturation. Almost every flowing input waits on a full downstream
+// buffer here, where the 8x8 benches above see little blocking; this is
+// the case stalled-input tracking exists for.
+func BenchmarkMoveSaturated(b *testing.B) {
+	mk := func() Config {
+		topo := topology.NewMesh(32, 32)
+		return Config{
+			Algorithm:   routing.NewNegativeFirst(topo),
+			Pattern:     traffic.NewMeshTranspose(topo),
+			OfferedLoad: 1.5,
+			Seed:        1,
+		}
+	}
+	e := benchMovePhaseAfter(b, 3000, mk)
+	if share := fullDownstreamShare(e); share < 0.5 {
+		b.Fatalf("only %.0f%% of flowing inputs wait on a full buffer; not saturated", 100*share)
+	}
+}
+
+// fullDownstreamShare returns the fraction of flowing inputs whose
+// downstream buffer is full, from buffer state alone.
+func fullDownstreamShare(e *Engine) float64 {
+	flowing, full := 0, 0
+	for in := range e.inbufs {
+		b := &e.inbufs[in]
+		if b.allocOut < 0 || len(b.q) == 0 {
+			continue
+		}
+		flowing++
+		if dest := e.outDest[b.allocOut]; dest >= 0 && len(e.inbufs[dest].q) >= e.depth {
+			full++
+		}
+	}
+	if flowing == 0 {
+		return 0
+	}
+	return float64(full) / float64(flowing)
 }

@@ -8,6 +8,14 @@ import (
 // custom measurement. All callbacks run synchronously on the simulation
 // goroutine; implementations must not retain the arguments beyond the
 // call. A nil observer costs one branch per event.
+//
+// Events arrive in cycle order, and within a cycle in a deterministic
+// order: recovery aborts first, then the Allocate events of the
+// allocation phase, then the move phase's Inject, Forward and Deliver
+// events in the order the flits move. The same configuration and seed
+// always produce the same stream, event for event, and
+// TestEngineEventStreamPinned pins the stream of one configuration per
+// engine class, so an engine optimization cannot reorder it unnoticed.
 type Observer interface {
 	// Inject fires when a packet's header flit enters its source router.
 	Inject(cycle int64, src, dst topology.NodeID, length int)

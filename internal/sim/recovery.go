@@ -132,6 +132,9 @@ func (e *Engine) abortWorm(hin int32) {
 				// Its headArrival was recorded on arrival and stands.
 				e.pushAllocWork(int32(router))
 			}
+			// cur is below capacity now: its feeder, whether this worm
+			// or a packet queued behind it, is no longer stalled.
+			e.unstallFeeder(cur)
 		}
 		if int(cb.port) == e.vport-1 {
 			break // injection buffer: the chain ends at the source
@@ -147,6 +150,9 @@ func (e *Engine) abortWorm(hin int32) {
 		if feeder < 0 {
 			break // channel free: the worm's tail already crossed it
 		}
+		// The released feeder is not stalled: either the drain above
+		// cleared its bits, or cur held none of the worm's flits, and a
+		// buffer fed by a channel the worm holds is then empty.
 		e.busyBy[up] = -1
 		e.inbufs[feeder].allocOut = -1
 		e.flowing.clear(feeder)

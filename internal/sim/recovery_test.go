@@ -236,6 +236,69 @@ func TestCheckInvariantsCleanRun(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsCatchesStalledBitFlip: on a warmed, saturated
+// engine, flipping any one stalled or stalledLow bit — either way — is
+// reported, and flipping it back restores a clean check.
+func TestCheckInvariantsCatchesStalledBitFlip(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	e, err := New(Config{
+		Algorithm:     routing.NewNegativeFirst(topo),
+		Pattern:       traffic.NewMeshTranspose(topo),
+		OfferedLoad:   2.5,
+		WarmupCycles:  1 << 30,
+		MeasureCycles: 1,
+		Seed:          2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		e.step()
+		e.cycle++
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatalf("warmed engine: %v", err)
+	}
+	// One input of each class: stalled on a lower-index buffer, stalled
+	// on a higher-index one, and flowing but not stalled.
+	low, high, free := int32(-1), int32(-1), int32(-1)
+	for in := int32(0); in < int32(len(e.inbufs)); in++ {
+		switch {
+		case e.stalledLow.get(in):
+			low = in
+		case e.stalled.get(in):
+			high = in
+		case e.flowing.get(in):
+			free = in
+		}
+	}
+	if low < 0 || high < 0 || free < 0 {
+		t.Fatalf("warmup left no input of some class (low %d, high %d, free %d); the test would be vacuous", low, high, free)
+	}
+	for _, c := range []struct {
+		name string
+		bits bitset
+		in   int32
+		want string
+	}{
+		{"clear-stalled", e.stalled, high, "stalled = false, want true"},
+		{"set-stalled", e.stalled, free, "stalled = true, want false"},
+		{"clear-stalledLow", e.stalledLow, low, "stalledLow = false, want true"},
+		{"set-stalledLow", e.stalledLow, high, "stalledLow = true, want false"},
+	} {
+		flip := func() { c.bits[c.in>>6] ^= 1 << (uint(c.in) & 63) }
+		flip()
+		err := e.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s on input %d: got %v, want an error containing %q", c.name, c.in, err, c.want)
+		}
+		flip()
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("%s restored: %v", c.name, err)
+		}
+	}
+}
+
 // TestRecoveryConfigValidation: the new knobs are validated at
 // configuration time.
 func TestRecoveryConfigValidation(t *testing.T) {

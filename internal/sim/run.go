@@ -39,9 +39,12 @@ type Result struct {
 	PacketsGenerated int64
 
 	// Sustainable reports the paper's criterion: the number of packets
-	// queued at their source processors stays small and bounded. It is
-	// true when the source backlog grew by no more than 5% of the flits
-	// generated during measurement and the run did not deadlock.
+	// queued at their source processors stays small and bounded. For a
+	// stochastic run it is true when the run did not deadlock and the
+	// source backlog grew by at most 5% of the flits generated during
+	// measurement plus 2 flits per node. A scripted run has no
+	// generation rate to compare against; it is sustainable when it did
+	// not deadlock.
 	Sustainable bool
 	// BacklogGrowth is the growth of queued source flits over the
 	// measurement window.
