@@ -10,7 +10,11 @@
 // closures, no allocation in steady state. When no Collector is
 // attached the engine's hot path pays exactly one nil check per hook,
 // preserving the zero-overhead-when-disabled invariant guarded by
-// TestAllocateZeroAllocs.
+// TestAllocateZeroAllocs. An attached Collector keeps the run on the
+// engine's per-flit move path, where the per-flit channel and router
+// counters are incremented: a run in the worm-train class (one virtual
+// channel, 1-flit wormhole buffers, chained advance) gives the same
+// results with a Collector, but runs slower.
 //
 // All quantities are in simulator cycles and flits; exporters report
 // the raw units and leave unit conversion to consumers.

@@ -214,7 +214,10 @@ type Config struct {
 	Script []ScriptedMessage
 
 	// Observer, if non-nil, receives simulation events (injections,
-	// allocations, flit forwards, deliveries).
+	// allocations, flit forwards, deliveries). A non-nil observer
+	// selects the per-flit move path: results are the same, but a run
+	// that would otherwise move worms as trains (one virtual channel,
+	// 1-flit wormhole buffers, chained advance) is slower.
 	Observer Observer
 
 	// DisableRouteTable turns off compiled route tables, forcing direct
@@ -267,8 +270,10 @@ type Config struct {
 	// engine binds it at construction and fills its per-router and
 	// per-channel counters, time series and latency histogram over the
 	// whole run (cycle zero onward). Attaching a collector never
-	// changes simulation results; leaving it nil costs one branch per
-	// hook. The Observer interface remains the tracing path.
+	// changes simulation results, but like an Observer it selects the
+	// per-flit move path, which increments its per-flit channel and
+	// router counters, so a worm-train-class run is slower with one. The
+	// Observer interface remains the tracing path.
 	Metrics *metrics.Collector
 
 	// Stop, if non-nil, is polled once every 1024 cycles; when it

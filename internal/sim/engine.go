@@ -172,6 +172,11 @@ type Engine struct {
 	// lastFaultEpoch detects mid-run fault-state changes, which force a
 	// full allocation rescan and invalidate candidate caches.
 	lastFaultEpoch int32
+	// trains selects the worm-train move path (train.go): the engine is
+	// trainShaped and no Observer or metrics collector is attached. It
+	// occupies lastFaultEpoch's alignment padding, adding no bytes to
+	// the struct.
+	trains bool
 
 	// dirtyLinks and dirtyInj record which linkUsed/injUsed entries were
 	// set this cycle, so the per-cycle reset touches only those.
@@ -320,6 +325,7 @@ func New(cfg Config) (*Engine, error) {
 	if c.StrictAdvance {
 		e.lenStart = make([]int32, n*vport)
 	}
+	e.trains = e.trainShaped() && c.Observer == nil && c.Metrics == nil
 	// Precompute the packet-length distribution's cumulative weights so
 	// drawLength no longer sums the weight vector per draw.
 	e.lenCum = make([]float64, len(c.LengthWeights))
@@ -854,8 +860,14 @@ func (e *Engine) buildSeedOrder() {
 // in an order that rotates with the cycle count. In chained mode,
 // freeing a buffer slot immediately lets the upstream flit advance into
 // it (the worm moves as a synchronized train); in strict mode only space
-// available at the start of the cycle counts.
+// available at the start of the cycle counts. Train-class engines move
+// each worm in one step (moveTrains); the rest of this function is the
+// per-flit path, every other class's and the train path's reference.
 func (e *Engine) move() {
+	if e.trains {
+		e.moveTrains()
+		return
+	}
 	if e.cfg.StrictAdvance {
 		for i := range e.inbufs {
 			e.lenStart[i] = int32(len(e.inbufs[i].q))
@@ -866,18 +878,22 @@ func (e *Engine) move() {
 	// every entry it pushed.
 	w.work = w.work[:0]
 	e.seedMoveWork()
-	// Source-queue injections are attempted for every nonempty queue.
-	for v := range e.queues {
-		if e.queues[v].len() > 0 {
-			e.tryInject(topology.NodeID(v))
-		}
-	}
+	e.injectQueued()
 	for len(w.work) > 0 {
 		in := w.work[len(w.work)-1]
 		w.work = w.work[:len(w.work)-1]
 		e.inWork[in] = false
 		if !e.stalled.get(in) {
 			e.moveOne(in)
+		}
+	}
+}
+
+// injectQueued attempts an injection from every nonempty source queue.
+func (e *Engine) injectQueued() {
+	for v := range e.queues {
+		if e.queues[v].len() > 0 {
+			e.tryInject(topology.NodeID(v))
 		}
 	}
 }

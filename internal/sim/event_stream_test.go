@@ -78,9 +78,12 @@ func (x *eventHasher) observer() RecoveryObserver {
 // Result. The engine's hot paths (worklists, stalled-input tracking,
 // compiled tables) are optimizations that must not move a single event
 // or reorder two events within a cycle; delivery-only comparisons would
-// miss a reordered Forward or a shifted Allocate. The constants were
-// computed before stalled-input tracking existed and must only change
-// with a deliberate change to the simulation model.
+// miss a reordered Forward or a shifted Allocate. Each case then reruns
+// unobserved and must produce the same Result: four of the nine
+// (saturated-transpose, pcube-6cube, fully-adaptive-recovery-faults,
+// random-policies-misroute) take the worm-train move path then. The
+// constants were computed before stalled-input tracking existed and
+// must only change with a deliberate change to the simulation model.
 func TestEngineEventStreamPinned(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -226,17 +229,35 @@ func TestEngineEventStreamPinned(t *testing.T) {
 			if cfg.RecoveryThreshold > 0 && x.counts[evAbort] == 0 {
 				t.Fatalf("no aborts (event counts %v); the recovery case would be vacuous", x.counts)
 			}
-			// Result has a String method that prints a summary; hash
-			// every field instead.
-			type allFields Result
-			rh := fnv.New64a()
-			fmt.Fprintf(rh, "%+v", allFields(res))
 			if got := x.h.Sum64(); got != c.events {
 				t.Errorf("event stream digest %#016x, want %#016x (event counts %v)", got, c.events, x.counts)
 			}
-			if got := rh.Sum64(); got != c.result {
+			if got := resultDigest(res); got != c.result {
 				t.Errorf("result digest %#016x, want %#016x: %+v", got, c.result, res)
+			}
+			// Unobserved, train-class cases take the worm-train move path;
+			// every case must still produce the pinned Result.
+			cfg.Observer = nil
+			res, err = Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.InvariantViolation != "" {
+				t.Fatalf("unobserved: invariant violation: %s", res.InvariantViolation)
+			}
+			if got := resultDigest(res); got != c.result {
+				t.Errorf("unobserved: result digest %#016x, want %#016x: %+v", got, c.result, res)
 			}
 		})
 	}
+}
+
+// resultDigest is the FNV-64a digest of every field of res. Result has a
+// String method that prints a summary; the digest covers every field
+// instead.
+func resultDigest(res Result) uint64 {
+	type allFields Result
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", allFields(res))
+	return h.Sum64()
 }

@@ -9,7 +9,7 @@ import (
 // cycles (not from inside a phase). The laws checked:
 //
 //   - channel-hold bijection: busyBy[out] == in iff inbufs[in].allocOut
-//     == out, and every held input has flits or a grant in progress;
+//     == out;
 //   - buffer bounds: no input buffer exceeds the configured depth;
 //   - flowing consistency: an input is marked flowing iff it holds a
 //     flit and an allocated output;
@@ -20,7 +20,16 @@ import (
 //     drained by recovery + flits currently sitting in buffers;
 //   - packet conservation: the set of distinct packets in source
 //     queues, network buffers and the retry queue is exactly the
-//     engine's in-flight count.
+//     engine's in-flight count;
+//   - worm contiguity, for engines in the train class's shape (one
+//     virtual channel, 1-flit buffers, chained wormhole; see
+//     trainShaped): every held input has a flit, and each worm's
+//     n = flitsSent - flitsDelivered in-network flits fill a chain of
+//     n buffers linked by the channels it holds, one flit each, with
+//     the head flag only at the front, the tail flag only at the back
+//     once the worm is fully injected, and the back at the source's
+//     injection buffer while it is not. The train move path relies on
+//     this shape.
 //
 // Config.CheckInvariants runs this periodically during Run and once at
 // the end, recording the first violation in Result.InvariantViolation;
@@ -75,6 +84,11 @@ func (e *Engine) CheckInvariants() error {
 			return fmt.Errorf("input %d: stalledLow = %v, want %v (allocOut %d)", in, got, wantLow, b.allocOut)
 		}
 	}
+	if e.trainShaped() {
+		if err := e.checkChains(); err != nil {
+			return err
+		}
+	}
 	if e.flitsInjectedEver != e.flitsDeliveredEver+e.flitsDrainedEver+buffered {
 		return fmt.Errorf("flit conservation: injected %d != delivered %d + drained %d + buffered %d",
 			e.flitsInjectedEver, e.flitsDeliveredEver, e.flitsDrainedEver, buffered)
@@ -91,6 +105,68 @@ func (e *Engine) CheckInvariants() error {
 	if len(live) != e.inFlight {
 		return fmt.Errorf("packet conservation: %d distinct live packets, in-flight count %d",
 			len(live), e.inFlight)
+	}
+	return nil
+}
+
+// checkChains verifies worm contiguity (see CheckInvariants). A worm's
+// front is the buffer holding its header, or, once the header has been
+// consumed, the buffer holding the ejection channel; from each front it
+// walks the feeder links busyBy[upOut[b]] back to the worm's back.
+func (e *Engine) checkChains() error {
+	onChain := make([]bool, len(e.inbufs))
+	for in := range e.inbufs {
+		b := &e.inbufs[in]
+		if len(b.q) == 0 {
+			if b.allocOut >= 0 {
+				return fmt.Errorf("input %d holds output %d but no flit", in, b.allocOut)
+			}
+			continue
+		}
+		ejecting := b.allocOut >= 0 && e.outDest[b.allocOut] < 0
+		if !b.q[0].head && !ejecting {
+			continue // not a front
+		}
+		p := b.q[0].p
+		n := p.flitsSent - p.flitsDelivered
+		injected := p.flitsSent == p.length
+		cur := int32(in)
+		for k := 0; k < n; k++ {
+			if k > 0 {
+				up := e.upOut[cur]
+				if up < 0 || e.busyBy[up] < 0 {
+					return fmt.Errorf("packet %d: chain from input %d breaks at input %d after %d of %d buffers",
+						p.id, in, cur, k, n)
+				}
+				cur = e.busyBy[up]
+			}
+			cb := &e.inbufs[cur]
+			if len(cb.q) != 1 || cb.q[0].p != p {
+				return fmt.Errorf("packet %d: chain buffer %d of %d (input %d) does not hold exactly one of its flits",
+					p.id, k+1, n, cur)
+			}
+			if onChain[cur] {
+				return fmt.Errorf("packet %d: input %d is on two chains", p.id, cur)
+			}
+			onChain[cur] = true
+			f := cb.q[0]
+			if f.head != (k == 0 && p.flitsDelivered == 0) {
+				return fmt.Errorf("packet %d: head flag %v at chain buffer %d of %d (input %d)", p.id, f.head, k+1, n, cur)
+			}
+			if f.tail != (injected && k == n-1) {
+				return fmt.Errorf("packet %d: tail flag %v at chain buffer %d of %d (input %d, %d of %d flits sent)",
+					p.id, f.tail, k+1, n, cur, p.flitsSent, p.length)
+			}
+		}
+		if !injected && cur != e.injectionIn(p.src) {
+			return fmt.Errorf("packet %d: partially injected, but its chain ends at input %d, not its source's injection buffer",
+				p.id, cur)
+		}
+	}
+	for in := range e.inbufs {
+		if q := e.inbufs[in].q; len(q) > 0 && !onChain[in] {
+			return fmt.Errorf("input %d holds a flit of packet %d off its worm's chain", in, q[0].p.id)
+		}
 	}
 	return nil
 }

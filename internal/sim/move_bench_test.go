@@ -60,9 +60,11 @@ func benchMovePhaseAfter(b *testing.B, warmup int, mk func() Config) *Engine {
 	return e
 }
 
-// BenchmarkMoveWormhole: the baseline single-VC wormhole class.
+// BenchmarkMoveWormhole: the baseline single-VC wormhole class, on the
+// worm-train path and, with a no-op observer attached, on the per-flit
+// path.
 func BenchmarkMoveWormhole(b *testing.B) {
-	benchMovePhase(b, func() Config {
+	benchMovePaths(b, 2000, func() Config {
 		topo := topology.NewMesh(8, 8)
 		return Config{
 			Algorithm:   routing.NewNegativeFirst(topo),
@@ -70,7 +72,31 @@ func BenchmarkMoveWormhole(b *testing.B) {
 			OfferedLoad: 2.0,
 			Seed:        3,
 		}
-	})
+	}, nil)
+}
+
+// benchMovePaths runs benchMovePhaseAfter as a /train sub-benchmark and
+// a /per-flit one, which attaches a no-op observer to select the
+// per-flit move path. check, if non-nil, inspects each warmed engine.
+func benchMovePaths(b *testing.B, warmup int, mk func() Config, check func(*testing.B, *Engine)) {
+	for _, path := range []struct {
+		name string
+		obs  Observer
+	}{{"train", nil}, {"per-flit", ObserverFuncs{}}} {
+		b.Run(path.name, func(b *testing.B) {
+			e := benchMovePhaseAfter(b, warmup, func() Config {
+				cfg := mk()
+				cfg.Observer = path.obs
+				return cfg
+			})
+			if e.trains != (path.obs == nil) {
+				b.Fatalf("trains = %v on the %s path", e.trains, path.name)
+			}
+			if check != nil {
+				check(b, e)
+			}
+		})
+	}
 }
 
 // BenchmarkMoveMultiVC: dateline virtual channels on a torus, seeded
@@ -122,11 +148,13 @@ func BenchmarkMoveChainedSAF(b *testing.B) {
 
 // BenchmarkMoveSaturated: the benchmark's mesh32 configuration (32x32
 // negative-first, matrix transpose, 1.5 flits/us/node), warmed past
-// saturation. Almost every flowing input waits on a full downstream
-// buffer here, where the 8x8 benches above see little blocking; this is
-// the case stalled-input tracking exists for.
+// saturation, on both move paths. Almost every flowing input waits on a
+// full downstream buffer here, where the 8x8 benches above see little
+// blocking; this is the case stalled-input tracking exists for, and
+// where most flit moves carry a body flit from one full buffer into the
+// next.
 func BenchmarkMoveSaturated(b *testing.B) {
-	mk := func() Config {
+	benchMovePaths(b, 3000, func() Config {
 		topo := topology.NewMesh(32, 32)
 		return Config{
 			Algorithm:   routing.NewNegativeFirst(topo),
@@ -134,11 +162,11 @@ func BenchmarkMoveSaturated(b *testing.B) {
 			OfferedLoad: 1.5,
 			Seed:        1,
 		}
-	}
-	e := benchMovePhaseAfter(b, 3000, mk)
-	if share := fullDownstreamShare(e); share < 0.5 {
-		b.Fatalf("only %.0f%% of flowing inputs wait on a full buffer; not saturated", 100*share)
-	}
+	}, func(b *testing.B, e *Engine) {
+		if share := fullDownstreamShare(e); share < 0.5 {
+			b.Fatalf("only %.0f%% of flowing inputs wait on a full buffer; not saturated", 100*share)
+		}
+	})
 }
 
 // fullDownstreamShare returns the fraction of flowing inputs whose

@@ -7,7 +7,10 @@ import (
 // Observer receives simulation events, for debugging, visualization and
 // custom measurement. All callbacks run synchronously on the simulation
 // goroutine; implementations must not retain the arguments beyond the
-// call. A nil observer costs one branch per event.
+// call. A non-nil observer selects the per-flit move path, which emits
+// one Forward per flit: a run in the worm-train class (one virtual
+// channel, 1-flit wormhole buffers, chained advance) produces the same
+// Result with an observer attached, but runs slower.
 //
 // Events arrive in cycle order, and within a cycle in a deterministic
 // order: recovery aborts first, then the Allocate events of the
