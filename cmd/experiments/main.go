@@ -94,7 +94,7 @@ func run() int {
 		}
 	}
 	if len(figs) > 1 {
-		if err := exp.PrefetchFigures(opts, figs...); err != nil {
+		if err := exp.RunFigureSet(figs, opts, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: prefetch: %v\n", err)
 			failed++
 		}

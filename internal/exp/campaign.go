@@ -4,9 +4,10 @@ import "sync"
 
 // RunFigureSet runs a batch of figure specs concurrently — figures,
 // algorithm lines and load points all fan out over one worker pool of
-// o.workers() simulations — fills the figure cache, and invokes onDone
-// (when non-nil) serially as each figure completes, in completion
-// order. Cached figures complete
+// o.workers() simulations — fills the figure cache, so later RunFigure
+// calls return without simulating, and invokes onDone (when non-nil)
+// serially as each figure completes, in completion order. Results are
+// bit-identical to sequential RunFigure calls. Cached figures complete
 // immediately (still through onDone), so a caller that checkpoints
 // completed figures can resume an interrupted batch and see every
 // figure exactly once. Figures that fail (including cancellation via

@@ -42,9 +42,9 @@ func TestParallelFigureDeterminism(t *testing.T) {
 		t.Fatal("rendered figure output differs between worker counts")
 	}
 
-	// PrefetchFigures must produce the identical cached result.
+	// RunFigureSet must fill the cache with the identical result.
 	sweepCacheReset(t, f, par)
-	if err := PrefetchFigures(par, f); err != nil {
+	if err := RunFigureSet([]FigureSpec{f}, par, nil); err != nil {
 		t.Fatal(err)
 	}
 	cached, err := RunFigure(f, par)
@@ -52,45 +52,7 @@ func TestParallelFigureDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sweepsSeq, cached) {
-		t.Fatal("prefetched figure results diverge from sequential run")
-	}
-}
-
-// TestRouteTableFigureDeterminism: compiled route tables must be
-// invisible in the results too. The same figure sweep with tables on
-// (the default) and off must agree byte for byte, as raw Sweep values
-// and as rendered figure output. The cache key includes the flag, so
-// both runs genuinely simulate.
-func TestRouteTableFigureDeterminism(t *testing.T) {
-	f, ok := FigureByID("fig13")
-	if !ok {
-		t.Fatal("fig13 spec missing")
-	}
-	base := Options{Quick: true, Seed: 7, Warmup: 1000, Measure: 3000}
-
-	tables := base
-	direct := base
-	direct.DisableRouteTables = true
-	if cacheKey(f, tables) == cacheKey(f, direct) {
-		t.Fatal("cache key must distinguish the route-table flag")
-	}
-
-	sweepsTab, err := runFigure(f, tables, make(chan struct{}, tables.workers()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepsDir, err := runFigure(f, direct, make(chan struct{}, direct.workers()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sweepsTab, sweepsDir) {
-		t.Fatalf("route-table sweep results diverge from direct evaluation:\ntables: %+v\ndirect: %+v", sweepsTab, sweepsDir)
-	}
-	var bufTab, bufDir bytes.Buffer
-	WriteFigure(&bufTab, f, sweepsTab)
-	WriteFigure(&bufDir, f, sweepsDir)
-	if !bytes.Equal(bufTab.Bytes(), bufDir.Bytes()) {
-		t.Fatal("rendered figure output differs between route-table modes")
+		t.Fatal("RunFigureSet results diverge from sequential run")
 	}
 }
 

@@ -75,12 +75,6 @@ type Options struct {
 	// ErrDeadlineExceeded. Like Cancel, an expired run is never cached.
 	// The turnserver derives it from its per-job timeout.
 	Deadline time.Time
-	// DisableRouteTables forwards sim.Config.DisableRouteTable to the
-	// figure-sweep simulations: routing relations are evaluated
-	// directly per header instead of through compiled route tables.
-	// Results are bit-identical either way; the switch exists for A/B
-	// verification and diagnosis.
-	DisableRouteTables bool
 }
 
 // ProgressEvent reports one completed leaf simulation to
@@ -293,13 +287,12 @@ func runSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Opt
 				return
 			}
 			cfg := sim.Config{
-				Algorithm:         alg,
-				Pattern:           pat,
-				OfferedLoad:       load,
-				WarmupCycles:      o.warmup(),
-				MeasureCycles:     o.measure(),
-				Seed:              o.Seed + int64(load*1000),
-				DisableRouteTable: o.DisableRouteTables,
+				Algorithm:     alg,
+				Pattern:       pat,
+				OfferedLoad:   load,
+				WarmupCycles:  o.warmup(),
+				MeasureCycles: o.measure(),
+				Seed:          o.Seed + int64(load*1000),
 			}
 			if o.Cancel != nil || !o.Deadline.IsZero() {
 				cfg.Stop = func() bool { return o.canceled() || o.expired() }
@@ -472,10 +465,7 @@ var cacheNeutralOptionFields = map[string]string{
 // parameters ARE present: cached sweeps run without collectors carry
 // no summaries, so a metrics-enabled request must not reuse them (and
 // vice versa) — though for MetricsDir only the enabled-ness is keyed,
-// not the path dumps land at. DisableRouteTables is present even
-// though results are bit-identical either way, so the A/B determinism
-// tests compare two genuine runs rather than one run against its own
-// cache entry.
+// not the path dumps land at.
 func cacheKey(f FigureSpec, o Options) string {
 	fields := map[string]any{"figure": f.ID}
 	v := reflect.ValueOf(o)
@@ -562,15 +552,6 @@ func runFigure(f FigureSpec, o Options, sem chan struct{}) ([]Sweep, error) {
 		}
 	}
 	return sweeps, nil
-}
-
-// PrefetchFigures runs several figures concurrently — figures, algorithm
-// lines and load points all fan out over one worker pool of
-// o.workers() simulations — and fills the figure cache, so subsequent
-// RunFigure calls return instantly. Results are bit-identical to
-// sequential RunFigure calls.
-func PrefetchFigures(o Options, figs ...FigureSpec) error {
-	return RunFigureSet(figs, o, nil)
 }
 
 // WriteFigure renders a figure's series in the paper's axes: average

@@ -449,7 +449,7 @@ func RunClaims(o Options) ([]ClaimResult, error) {
 		f, _ := FigureByID(id)
 		specs = append(specs, f)
 	}
-	if err := PrefetchFigures(o, specs...); err != nil {
+	if err := RunFigureSet(specs, o, nil); err != nil {
 		return nil, err
 	}
 	best := map[string]map[string]float64{} // figID -> alg -> max sustainable

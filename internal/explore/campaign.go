@@ -1,8 +1,6 @@
 package explore
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/big"
@@ -14,6 +12,7 @@ import (
 	"turnmodel/internal/adapt"
 	"turnmodel/internal/core"
 	"turnmodel/internal/exp"
+	"turnmodel/internal/jsonl"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
 	"turnmodel/internal/traffic"
@@ -158,57 +157,19 @@ func (c *Campaign) specs() ([]exp.FigureSpec, error) {
 	return out, nil
 }
 
-// loadLog parses the checkpoint log into records keyed by cache key.
-// A missing file is an empty checkpoint; a torn final line (the
-// process died mid-write) is skipped, re-running that figure.
+// loadLog folds the checkpoint log into records keyed by cache key. A
+// missing file is an empty checkpoint; a torn final line (the process
+// died mid-write) is skipped, re-running that figure.
 func loadLog(path string) (map[string]Record, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[string]Record{}, nil
-	}
+	recs, err := jsonl.Read[Record](path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	out := map[string]Record{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			continue // torn write from a killed run
-		}
+	out := make(map[string]Record, len(recs))
+	for _, r := range recs {
 		out[r.CacheKey] = r
 	}
-	return out, sc.Err()
-}
-
-// openLog opens the checkpoint log for appending, creating it when
-// missing. If the file does not end in a newline (the previous run died
-// mid-write), a newline is appended first, so the torn tail stays an
-// isolated line that loadLog skips instead of swallowing the next
-// record.
-func openLog(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err == nil && st.Size() > 0 {
-		tail := make([]byte, 1)
-		if _, err = f.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
-			_, err = f.Write([]byte{'\n'})
-		}
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
+	return out, nil
 }
 
 // record flattens a completed figure's sweeps (always a single
@@ -256,11 +217,11 @@ func (c *Campaign) Run() error {
 			len(specs), len(specs)-len(todo), len(todo))
 	}
 	if len(todo) > 0 {
-		logf, err := openLog(c.LogPath)
+		ckpt, err := jsonl.Open(c.LogPath)
 		if err != nil {
 			return err
 		}
-		defer logf.Close() // error paths; the success path checks Close below
+		defer ckpt.Close() // error paths; the success path checks Close below
 		stop := make(chan struct{})
 		o.Cancel = mergeCancel(c.Opts.Cancel, stop)
 		completed := 0
@@ -268,17 +229,10 @@ func (c *Campaign) Run() error {
 		var writeErr error
 		runErr := exp.RunFigureSet(todo, o, func(f exp.FigureSpec, sweeps []exp.Sweep) {
 			r := record(exp.CacheKey(f, o), f, sweeps)
-			b, err := json.Marshal(r)
-			if err != nil {
-				panic(fmt.Sprintf("explore: record not serializable: %v", err))
-			}
 			// Each record is fsynced before the next figure's completion
 			// can be reported, so a crash never loses a checkpointed
 			// figure.
-			if _, err = logf.Write(append(b, '\n')); err == nil {
-				err = logf.Sync()
-			}
-			if err != nil && writeErr == nil {
+			if err := ckpt.Append(r); err != nil && writeErr == nil {
 				// A figure that cannot be checkpointed would be lost to the
 				// next resume: stop the campaign and report it.
 				writeErr = fmt.Errorf("explore: checkpoint write failed: %w", err)
@@ -297,7 +251,7 @@ func (c *Campaign) Run() error {
 				close(stop)
 			}
 		})
-		if err := logf.Close(); err != nil && writeErr == nil {
+		if err := ckpt.Close(); err != nil && writeErr == nil {
 			writeErr = fmt.Errorf("explore: closing checkpoint log: %w", err)
 		}
 		if writeErr != nil {

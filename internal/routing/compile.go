@@ -393,7 +393,7 @@ var (
 // the fault-change hook and recompiled at the new epoch on the next
 // call.
 func TableFor(alg VCAlgorithm) *Table {
-	if alg == nil || !reflect.TypeOf(alg).Comparable() {
+	if !cacheable(alg) {
 		return nil
 	}
 	tableCacheMu.Lock()
@@ -430,6 +430,14 @@ func TableFor(alg VCAlgorithm) *Table {
 	return tab
 }
 
+// cacheable reports whether alg can key the table cache. The check is
+// on the value, not the type: AsVC's comparable wrapper can hold a
+// relation whose dynamic type has slice or map fields, and indexing the
+// map with it would panic.
+func cacheable(alg VCAlgorithm) bool {
+	return alg != nil && reflect.ValueOf(alg).Comparable()
+}
+
 // cacheEntryLocked returns alg's cache entry, creating it (and evicting
 // an unpinned entry if the cache is at its cap) when absent. Callers
 // hold tableCacheMu. Pinned entries never count as eviction victims;
@@ -463,7 +471,7 @@ func cacheEntryLocked(alg VCAlgorithm) *tableEntry {
 // release drops the pin (idempotent); pinning a non-comparable relation
 // is a no-op, matching TableFor's refusal to cache it.
 func PinTable(alg VCAlgorithm) (release func()) {
-	if alg == nil || !reflect.TypeOf(alg).Comparable() {
+	if !cacheable(alg) {
 		return func() {}
 	}
 	tableCacheMu.Lock()

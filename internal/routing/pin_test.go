@@ -48,9 +48,22 @@ func TestPinnedTableSurvivesEviction(t *testing.T) {
 	}
 }
 
+// noted is a user relation held by value with a slice field: its type
+// is not comparable, though AsVC's wrapper around it is.
+type noted struct {
+	Algorithm
+	notes []string
+}
+
 // TestPinTableUncomparable: pinning a relation that cannot be a map key
-// must be a harmless no-op, mirroring TableFor's refusal to cache it.
+// must be a harmless no-op, mirroring TableFor's refusal to cache it —
+// including one whose comparable wrapper hides a non-comparable value.
 func TestPinTableUncomparable(t *testing.T) {
-	release := PinTable(nil)
+	PinTable(nil)()
+	alg := AsVC(noted{NewDimensionOrder(topology.NewMesh(2, 2)), []string{"held by value"}})
+	release := PinTable(alg)
 	release()
+	if TableFor(alg) != nil {
+		t.Error("TableFor compiled a relation that cannot key its cache")
+	}
 }

@@ -84,9 +84,6 @@ type JobRequest struct {
 	// WarmupCycles and MeasureCycles override the simulation window.
 	WarmupCycles  int64 `json:"warmup_cycles,omitempty"`
 	MeasureCycles int64 `json:"measure_cycles,omitempty"`
-	// DisableRouteTables forces direct routing-relation evaluation, for
-	// A/B comparisons over HTTP.
-	DisableRouteTables bool `json:"disable_route_tables,omitempty"`
 	// TimeoutSeconds bounds the job's execution; past it the job stops
 	// at its next cancellation poll and reports state "timeout". Zero
 	// means the server's -job-timeout (if any) applies; the effective
@@ -102,12 +99,11 @@ type JobRequest struct {
 // run.
 func (r JobRequest) options() exp.Options {
 	return exp.Options{
-		Quick:              r.Quick,
-		Seed:               r.Seed,
-		Loads:              r.Loads,
-		Warmup:             r.WarmupCycles,
-		Measure:            r.MeasureCycles,
-		DisableRouteTables: r.DisableRouteTables,
+		Quick:   r.Quick,
+		Seed:    r.Seed,
+		Loads:   r.Loads,
+		Warmup:  r.WarmupCycles,
+		Measure: r.MeasureCycles,
 	}
 }
 

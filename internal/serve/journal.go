@@ -1,21 +1,18 @@
 package serve
 
 import (
-	"bufio"
-	"encoding/json"
-	"os"
-	"strings"
-	"sync"
 	"time"
+
+	"turnmodel/internal/jsonl"
 )
 
-// The job journal is the store's write-ahead log: one JSON object per
-// line, append-only, recording every lifecycle transition of every
-// admitted job. It follows the torn-line-tolerant checkpoint pattern of
-// internal/explore's campaign log — a process killed mid-write leaves
-// at most one unparsable final line, which replay skips — so a SIGKILL
-// at any point lets the next start converge to the same terminal state
-// an uninterrupted server would have reached:
+// The job journal is the store's write-ahead log: a jsonl.Log, like
+// internal/explore's campaign log, recording every lifecycle
+// transition of every admitted job. A process killed mid-write leaves
+// at most one unparsable final line, which replay skips and the next
+// append never joins, so a SIGKILL at any point lets the next start
+// converge to the same terminal state an uninterrupted server would
+// have reached:
 //
 //   - submit + no terminal entry  -> the job is re-queued and re-run
 //     (the engine is deterministic, so the re-run's figure JSON is
@@ -51,90 +48,20 @@ type journalEntry struct {
 	Stack string `json:"stack,omitempty"`
 }
 
-// journal is the append-only on-disk log. A nil *journal is a valid
-// no-op journal (the store without a JournalPath).
-type journal struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-// openJournal reads the existing log tolerantly and opens it for
-// appending. A missing file is an empty journal. If the file does not
-// end in a newline (the previous process died mid-write), a newline is
-// appended first so the torn tail stays an isolated garbage line
-// instead of corrupting the next entry.
-func openJournal(path string) (*journal, []journalEntry, error) {
-	entries, err := readJournal(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		tail := make([]byte, 1)
-		if _, err := f.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
-			f.Write([]byte{'\n'})
-		}
-	}
-	return &journal{f: f}, entries, nil
-}
-
-// readJournal parses the log, skipping blank and torn lines.
+// readJournal parses the log, skipping blank and torn lines and
+// entries without a job ID.
 func readJournal(path string) ([]journalEntry, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+	all, err := jsonl.Read[journalEntry](path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var out []journalEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	out := all[:0]
+	for _, e := range all {
+		if e.ID != "" {
+			out = append(out, e)
 		}
-		var e journalEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil || e.ID == "" {
-			continue // torn write from a killed process
-		}
-		out = append(out, e)
 	}
-	return out, sc.Err()
-}
-
-// append writes one entry and syncs it to disk, so a terminal state
-// acknowledged to a client survives even a machine crash.
-func (jl *journal) append(e journalEntry) error {
-	if jl == nil {
-		return nil
-	}
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	if _, err := jl.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return jl.f.Sync()
-}
-
-// Close closes the underlying file. The store calls it only after its
-// workers have exited, so no append races the close.
-func (jl *journal) Close() error {
-	if jl == nil {
-		return nil
-	}
-	jl.mu.Lock()
-	defer jl.mu.Unlock()
-	return jl.f.Close()
+	return out, nil
 }
 
 // replayState is one job's folded journal state at startup.

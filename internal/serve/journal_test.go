@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"turnmodel/internal/exp"
+	"turnmodel/internal/jsonl"
 )
 
 // journalCfg is the fast-replay store configuration used by the
@@ -245,13 +246,13 @@ func TestJournalRetryBudgetExhausted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	req := quickReq(2004)
 	key, id := keyAndID(t, req)
-	jl, _, err := openJournal(path)
+	jl, err := jsonl.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.append(journalEntry{Type: "submit", ID: id, Key: key, Req: &req, Time: time.Now().UTC().Format(time.RFC3339Nano)})
+	jl.Append(journalEntry{Type: "submit", ID: id, Key: key, Req: &req, Time: time.Now().UTC().Format(time.RFC3339Nano)})
 	for a := 1; a <= 3; a++ {
-		jl.append(journalEntry{Type: "start", ID: id, Attempt: a})
+		jl.Append(journalEntry{Type: "start", ID: id, Attempt: a})
 	}
 	jl.Close()
 
@@ -284,17 +285,18 @@ func TestJournalRetryBudgetExhausted(t *testing.T) {
 // TestJournalTornTailTolerated: a process killed mid-append leaves a
 // torn (unterminated, unparsable) final line. Replay skips it, the
 // interrupted job re-runs, and subsequent appends land on a fresh line
-// rather than corrupting the torn one.
+// rather than corrupting the torn one — including the very first, the
+// re-run's start entry.
 func TestJournalTornTailTolerated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	req := quickReq(2005)
 	key, id := keyAndID(t, req)
-	jl, _, err := openJournal(path)
+	jl, err := jsonl.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jl.append(journalEntry{Type: "submit", ID: id, Key: key, Req: &req, Time: time.Now().UTC().Format(time.RFC3339Nano)})
-	jl.append(journalEntry{Type: "start", ID: id, Attempt: 1})
+	jl.Append(journalEntry{Type: "submit", ID: id, Key: key, Req: &req, Time: time.Now().UTC().Format(time.RFC3339Nano)})
+	jl.Append(journalEntry{Type: "start", ID: id, Attempt: 1})
 	jl.Close()
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -322,6 +324,13 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	st := states[id]
 	if st.State != StateDone || !strings.HasSuffix(st.Result, "\n") || strings.Contains(st.Result, "trunca") {
 		t.Errorf("fold after torn tail = state %s, result %q…", st.State, st.Result[:min(40, len(st.Result))])
+	}
+	restarted := false
+	for _, e := range entries {
+		restarted = restarted || (e.Type == "start" && e.Attempt == 2)
+	}
+	if !restarted {
+		t.Error("the start entry appended after the torn tail was lost")
 	}
 }
 

@@ -348,6 +348,9 @@ func TestBadRequests(t *testing.T) {
 		// The engine is serial; the field that once selected a shard
 		// count is now unknown, and unknown fields are rejected.
 		"removed shards field": `{"figure":"fig13","quick":true,"shards":2}`,
+		// Route tables cannot be switched off: results are identical
+		// either way, so the field is gone and rejected like any other.
+		"removed route-table field": `{"figure":"fig13","quick":true,"disable_route_tables":true}`,
 	} {
 		raw, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"turnmodel/internal/exp"
+	"turnmodel/internal/jsonl"
 )
 
 // ErrQueueFull is returned by Submit when the bounded job queue cannot
@@ -108,7 +109,7 @@ type Store struct {
 	mu      sync.Mutex
 	jobs    map[string]*Job
 	closed  bool
-	journal *journal
+	journal *jsonl.Log
 	ready   atomic.Bool
 	// testHook, when non-nil, runs inside the panic quarantine before
 	// the job executes; tests use it to inject panics and stalls.
@@ -146,11 +147,13 @@ func NewStore(cfg Config) (*Store, error) {
 	}
 	var requeue []*Job
 	if cfg.JournalPath != "" {
-		jl, entries, err := openJournal(cfg.JournalPath)
+		entries, err := readJournal(cfg.JournalPath)
 		if err != nil {
 			return nil, err
 		}
-		s.journal = jl
+		if s.journal, err = jsonl.Open(cfg.JournalPath); err != nil {
+			return nil, err
+		}
 		order, states := foldJournal(entries)
 		for _, id := range order {
 			st := states[id]
@@ -223,11 +226,6 @@ func (s *Store) Ready() (bool, string) {
 	return true, "ok"
 }
 
-// journalAppend forwards to the journal (a nil journal is a no-op).
-func (s *Store) journalAppend(e journalEntry) error {
-	return s.journal.append(e)
-}
-
 // Submit validates and admits a job. The bool reports whether the
 // returned job already existed (dedup or finished result); a false
 // return means a fresh job was queued. ErrQueueFull means the caller
@@ -265,7 +263,7 @@ func (s *Store) Submit(req JobRequest) (*Job, bool, error) {
 		return nil, false, ErrQueueFull
 	}
 	j := newJob(req, key)
-	if err := s.journalAppend(journalEntry{
+	if err := s.journal.Append(journalEntry{
 		Type: "submit", ID: j.ID, Key: key, Req: &req,
 		Time: j.submitted.UTC().Format(time.RFC3339Nano),
 	}); err != nil {
@@ -327,7 +325,7 @@ func (s *Store) Cancel(id string) bool {
 	}
 	j.mu.Unlock()
 	if wasQueued {
-		s.journalAppend(journalEntry{Type: string(StateCanceled), ID: j.ID})
+		s.journal.Append(journalEntry{Type: string(StateCanceled), ID: j.ID})
 	}
 	return true
 }
@@ -400,7 +398,7 @@ func (s *Store) terminalize(j *Job, state JobState, errMsg, stack string) {
 	j.events = append(j.events, Event{Type: string(state), Error: errMsg, Stack: stack})
 	j.notifyLocked()
 	j.mu.Unlock()
-	s.journalAppend(journalEntry{Type: string(state), ID: j.ID, Error: errMsg, Stack: stack})
+	s.journal.Append(journalEntry{Type: string(state), ID: j.ID, Error: errMsg, Stack: stack})
 }
 
 // execute runs the job body inside the panic quarantine: a panic on
@@ -436,7 +434,7 @@ func (s *Store) run(j *Job) {
 	j.events = append(j.events, Event{Type: string(StateRunning), Attempt: attempt})
 	j.notifyLocked()
 	j.mu.Unlock()
-	s.journalAppend(journalEntry{Type: "start", ID: j.ID, Attempt: attempt})
+	s.journal.Append(journalEntry{Type: "start", ID: j.ID, Attempt: attempt})
 	s.running.Add(1)
 	defer s.running.Add(-1)
 
@@ -496,7 +494,7 @@ func (s *Store) run(j *Job) {
 		j.mu.Unlock()
 		// Journal before announcing done: a client that observes the
 		// terminal state can rely on the result surviving a crash.
-		s.journalAppend(journalEntry{Type: string(StateDone), ID: j.ID, Result: buf.String(), CacheHit: hit})
+		s.journal.Append(journalEntry{Type: string(StateDone), ID: j.ID, Result: buf.String(), CacheHit: hit})
 		j.mu.Lock()
 		j.result = buf.Bytes()
 		j.cacheHit = hit

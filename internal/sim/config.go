@@ -220,12 +220,6 @@ type Config struct {
 	// 1-flit wormhole buffers, chained advance) is slower.
 	Observer Observer
 
-	// DisableRouteTable turns off compiled route tables, forcing direct
-	// CandidatesVC evaluation for every header. Results are bit-
-	// identical either way (the determinism tests assert it); the switch
-	// exists for those A/B tests and for diagnosing table issues.
-	DisableRouteTable bool
-
 	// FaultPlan, if non-nil, schedules channel faults and repairs on
 	// simulated-cycle timestamps: the engine applies due events at the
 	// top of every cycle through the topology's DisableChannel/

@@ -333,14 +333,12 @@ func New(cfg Config) (*Engine, error) {
 		e.lenTotal += w
 		e.lenCum[i] = e.lenTotal
 	}
-	if !c.DisableRouteTable {
-		// Compile (or fetch the cached compilation of) the routing
-		// relation into a flat (node, dst) candidate table. The table's
-		// Candidate.Out indices use routing.OutIndex, which is exactly
-		// this engine's port layout. nil means the relation is not
-		// compilable; fillCandCache then evaluates it directly.
-		e.table = routing.TableFor(alg)
-	}
+	// Compile (or fetch the cached compilation of) the routing relation
+	// into a flat (node, dst) candidate table. The table's Candidate.Out
+	// indices use routing.OutIndex, which is exactly this engine's port
+	// layout. nil means the relation is not compilable; fillCandCache
+	// then evaluates it directly.
+	e.table = routing.TableFor(alg)
 	if slots := n * vport * e.depth; slots <= flitArenaMaxFlits {
 		// One arena backs every input buffer: each buffer gets a
 		// zero-length slice with capacity depth, and since hasSpace

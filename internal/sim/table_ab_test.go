@@ -24,21 +24,33 @@ func recordDeliveries(dst *[]deliveryEvent) Observer {
 	}}
 }
 
-// runAB runs the same configuration with compiled route tables on and
-// off and asserts bit-identical Results and delivery event streams.
+// newAB builds the engine for one side of an A/B run. The direct side
+// drops the compiled route table New fetched: allocate only refreshes
+// a non-nil table, so every header then evaluates the relation
+// directly, exactly as for a relation that does not compile.
+func newAB(t *testing.T, cfg Config, direct bool) *Engine {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct {
+		e.table = nil
+	}
+	return e
+}
+
+// runAB runs the same configuration with compiled route tables and with
+// direct evaluation and asserts bit-identical Results and delivery
+// event streams.
 func runAB(t *testing.T, mk func() Config) {
 	t.Helper()
 	var events [2][]deliveryEvent
 	var results [2]Result
-	for i, disable := range []bool{false, true} {
+	for i, direct := range []bool{false, true} {
 		cfg := mk()
-		cfg.DisableRouteTable = disable
 		cfg.Observer = recordDeliveries(&events[i])
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[i] = res
+		results[i] = newAB(t, cfg, direct).run()
 	}
 	if results[0] != results[1] {
 		t.Errorf("results differ:\n tables: %+v\n direct: %+v", results[0], results[1])
@@ -57,7 +69,8 @@ func runAB(t *testing.T, mk func() Config) {
 // not a behavior change — every configuration class the engine
 // distinguishes (stochastic single-VC, random policy with misrouting,
 // multi-VC dateline torus routing, scripted first-hop restrictions)
-// produces bit-identical results with tables on and off.
+// and Figure 13's quick sweep produce bit-identical results with
+// tables and with direct evaluation.
 func TestTableABDeterminism(t *testing.T) {
 	t.Run("stochastic-mesh", func(t *testing.T) {
 		runAB(t, func() Config {
@@ -120,6 +133,35 @@ func TestTableABDeterminism(t *testing.T) {
 			}
 		})
 	})
+	// Figure 13's quick sweep as internal/exp runs it: the 16x16 mesh
+	// under uniform traffic, its four relations, the quick load points,
+	// seed 7 offset per load, 1000 + 3000 cycles. Like a sweep it runs
+	// without an Observer, so both sides take the worm-train move path
+	// the figures use; the cases above, observed, take the per-flit one.
+	t.Run("fig13-quick", func(t *testing.T) {
+		topo := topology.NewMesh(16, 16)
+		pat := traffic.NewUniform(topo)
+		for _, alg := range []routing.Algorithm{
+			routing.NewDimensionOrder(topo),
+			routing.NewWestFirst(topo),
+			routing.NewNorthLast(topo),
+			routing.NewNegativeFirst(topo),
+		} {
+			for _, load := range []float64{0.25, 1.0, 1.75, 2.5, 3.0} {
+				cfg := Config{
+					Algorithm:     alg,
+					Pattern:       pat,
+					OfferedLoad:   load,
+					WarmupCycles:  1000,
+					MeasureCycles: 3000,
+					Seed:          7 + int64(load*1000),
+				}
+				if tab, dir := newAB(t, cfg, false).run(), newAB(t, cfg, true).run(); tab != dir {
+					t.Errorf("%s at load %v: results differ:\n tables: %+v\n direct: %+v", alg.Name(), load, tab, dir)
+				}
+			}
+		}
+	})
 }
 
 // TestTableABDeterminismUnderFault: a channel failure mid-run triggers
@@ -133,22 +175,18 @@ func TestTableABDeterminismUnderFault(t *testing.T) {
 	)
 	var events [2][]deliveryEvent
 	var delivered [2]int64
-	for i, disable := range []bool{false, true} {
+	for i, direct := range []bool{false, true} {
 		topo := topology.NewMesh(8, 8)
 		broken := topology.Channel{From: topo.ID(topology.Coord{4, 4}), Dir: topology.Direction{Dim: 1, Pos: true}}
-		e, err := New(Config{
-			Algorithm:         routing.NewNegativeFirst(topo),
-			Pattern:           traffic.NewUniform(topo),
-			OfferedLoad:       2.0,
-			WarmupCycles:      1 << 30,
-			MeasureCycles:     1,
-			Seed:              17,
-			DisableRouteTable: disable,
-			Observer:          recordDeliveries(&events[i]),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := newAB(t, Config{
+			Algorithm:     routing.NewNegativeFirst(topo),
+			Pattern:       traffic.NewUniform(topo),
+			OfferedLoad:   2.0,
+			WarmupCycles:  1 << 30,
+			MeasureCycles: 1,
+			Seed:          17,
+			Observer:      recordDeliveries(&events[i]),
+		}, direct)
 		for e.cycle < cycles {
 			if e.cycle == faultCycle {
 				topo.DisableChannel(broken)
@@ -172,5 +210,38 @@ func TestTableABDeterminismUnderFault(t *testing.T) {
 		if events[0][i] != events[1][i] {
 			t.Fatalf("delivery %d differs: tables %+v, direct %+v", i, events[0][i], events[1][i])
 		}
+	}
+}
+
+// noted is a user relation held by value with a slice field: it cannot
+// key the route-table cache, though AsVC's wrapper around it is a
+// comparable type.
+type noted struct {
+	routing.Algorithm
+	notes []string
+}
+
+// TestUncomparableRelation: such a relation runs on direct evaluation
+// and gives the same Result as the plain relation's table run.
+func TestUncomparableRelation(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	run := func(alg routing.Algorithm) Result {
+		res, err := Run(Config{
+			Algorithm:     alg,
+			Pattern:       traffic.NewUniform(topo),
+			OfferedLoad:   2.0,
+			WarmupCycles:  500,
+			MeasureCycles: 1500,
+			Seed:          3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := routing.NewWestFirst(topo)
+	want := run(plain)
+	if got := run(noted{plain, []string{"held by value"}}); got != want {
+		t.Errorf("results differ:\n plain:   %+v\n wrapped: %+v", want, got)
 	}
 }
