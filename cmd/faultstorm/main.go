@@ -10,11 +10,11 @@
 //
 // Each campaign perturbs the seed, so one invocation covers several
 // independent fault schedules, and -classes repeats them per switching
-// class (multi-VC and chained store-and-forward included) so the
-// conflict-partitioned parallel move is stormed too. The tool also reports the routing
-// relation's unroutable source/destination pairs under the final fault
-// set of each campaign's plan, quantifying how much connectivity the
-// schedule destroyed.
+// class (multi-VC and chained store-and-forward included) so the move
+// phase's virtual-channel round robin and same-cycle cascades are
+// stormed too. The tool also reports the routing relation's unroutable
+// source/destination pairs under the final fault set of each campaign's
+// plan, quantifying how much connectivity the schedule destroyed.
 package main
 
 import (
@@ -99,8 +99,8 @@ func main() {
 			switch class {
 			case "wormhole":
 			case "multivc":
-				// Per-link VC wait chains under faults: the class the
-				// conflict-partitioned move must keep bit-identical.
+				// Per-link VC wait chains under faults: virtual channels
+				// share each link through the move phase's round robin.
 				name := "double-y"
 				if t.Kind() == topology.KindTorus {
 					name = "dateline-dor"

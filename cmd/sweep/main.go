@@ -17,6 +17,7 @@ import (
 	"turnmodel/internal/cli"
 	"turnmodel/internal/exp"
 	"turnmodel/internal/prof"
+	"turnmodel/internal/sim"
 )
 
 func main() {
@@ -76,7 +77,7 @@ func run() error {
 		}
 		if *saturate {
 			lo, hi := loads[0], loads[len(loads)-1]
-			sat, err := exp.FindSaturation(alg, pat, lo, hi, 8, opts)
+			sat, err := exp.FindSaturation(sim.Config{Algorithm: alg, Pattern: pat}, lo, hi, 8, opts)
 			if err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ import (
 	"turnmodel/internal/core"
 	"turnmodel/internal/deadlock"
 	"turnmodel/internal/routing"
+	"turnmodel/internal/sim"
 	"turnmodel/internal/topology"
 	"turnmodel/internal/traffic"
 )
@@ -362,9 +363,9 @@ func TestFindSaturation(t *testing.T) {
 		t.Skip("short mode")
 	}
 	topo := topology.NewMesh(8, 8)
-	alg := routing.NewDimensionOrder(topo)
+	base := sim.Config{Algorithm: routing.NewDimensionOrder(topo), Pattern: traffic.NewUniform(topo)}
 	o := Options{Seed: 6, Warmup: 1000, Measure: 5000}
-	sat, err := FindSaturation(alg, traffic.NewUniform(topo), 0.5, 12, 6, o)
+	sat, err := FindSaturation(base, 0.5, 12, 6, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestFindSaturation(t *testing.T) {
 		t.Errorf("edge measurement invalid: %+v", sat.Result)
 	}
 	// A floor that already saturates reports zero.
-	zero, err := FindSaturation(alg, traffic.NewUniform(topo), 50, 60, 3, o)
+	zero, err := FindSaturation(base, 50, 60, 3, o)
 	if err != nil {
 		t.Fatal(err)
 	}

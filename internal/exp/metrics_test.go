@@ -17,7 +17,8 @@ import (
 // carries a collector summary whose totals look like a real run, the
 // written dump round-trips as JSON, and the measured Results are
 // identical to a metrics-free sweep (the determinism invariant at the
-// harness level).
+// harness level). Every dumped summary must conserve flits and keep its
+// channel utilization within [0, 1].
 func TestSweepMetricsCollection(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	alg := routing.NewWestFirst(topo)
@@ -68,6 +69,14 @@ func TestSweepMetricsCollection(t *testing.T) {
 	}
 	if dump.SampleIntervalCycles != 500 {
 		t.Errorf("dump interval = %d, want 500", dump.SampleIntervalCycles)
+	}
+	for _, s := range dump.Series {
+		for _, p := range s.Points {
+			if m := p.Summary; m.InjectedFlits < m.DeliveredFlits || m.MaxChannelUtilization < 0 || m.MaxChannelUtilization > 1 {
+				t.Errorf("%s at load %v: delivered %d of %d injected flits, max channel utilization %v",
+					s.Algorithm, p.OfferedLoad, m.DeliveredFlits, m.InjectedFlits, m.MaxChannelUtilization)
+			}
+		}
 	}
 }
 

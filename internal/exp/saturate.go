@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"turnmodel/internal/routing"
-	"turnmodel/internal/sim"
-	"turnmodel/internal/traffic"
-)
+import "turnmodel/internal/sim"
 
 // Saturation is the result of a bisection search for the sustainability
 // boundary — a sharper estimate of the paper's "maximum sustainable
@@ -20,20 +16,18 @@ type Saturation struct {
 }
 
 // FindSaturation bisects the offered load between lo and hi (flits/us/
-// node) for the largest sustainable point, running iters rounds. lo must
-// be sustainable and is re-measured if the first probe refutes hi being
-// the only unsustainable bound; if even lo is unsustainable the zero
+// node) for the largest sustainable point of the configuration base
+// (relation, pattern, policies), running iters rounds. Each probe runs a
+// copy of base with its load, Options' windows and the seed
+// o.Seed + load·10000. lo must be sustainable; if it is not, the zero
 // Saturation is returned.
-func FindSaturation(alg routing.Algorithm, pat traffic.Pattern, lo, hi float64, iters int, o Options) (Saturation, error) {
+func FindSaturation(base sim.Config, lo, hi float64, iters int, o Options) (Saturation, error) {
 	run := func(load float64) (sim.Result, error) {
-		return sim.Run(sim.Config{
-			Algorithm:     alg,
-			Pattern:       pat,
-			OfferedLoad:   load,
-			WarmupCycles:  o.warmup(),
-			MeasureCycles: o.measure(),
-			Seed:          o.Seed + int64(load*10000),
-		})
+		c := base
+		c.OfferedLoad = load
+		c.WarmupCycles, c.MeasureCycles = o.warmup(), o.measure()
+		c.Seed = o.Seed + int64(load*10000)
+		return sim.Run(c)
 	}
 	best := Saturation{}
 	r, err := run(lo)

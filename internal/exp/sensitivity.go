@@ -28,10 +28,10 @@ func init() {
 // policy-invariant; negative-first's edge moves with how eagerly the
 // policy exploits its choices.
 func runSens14(o Options, w io.Writer) error {
-	// Shared instances: the bisection runs 7 probes per (policy,
-	// relation) pair, and nothing here touches the fault set, so every
-	// probe — across all three policies — shares one topology and one
-	// compiled table per relation.
+	// Shared instances: the bisection runs 8 probes (the floor and 7
+	// rounds) per (policy, relation) pair, and nothing here touches the
+	// fault set, so every probe — across all three policies — shares one
+	// topology and one compiled table per relation.
 	topo := SharedTopology(func() *topology.Topology { return topology.NewMesh(16, 16) })
 	xyAlg := SharedAlgorithm(topo, func(t *topology.Topology) routing.Algorithm { return routing.NewDimensionOrder(t) })
 	nfAlg := SharedAlgorithm(topo, func(t *topology.Topology) routing.Algorithm { return routing.NewNegativeFirst(t) })
@@ -40,30 +40,8 @@ func runSens14(o Options, w io.Writer) error {
 	tbl := stats.NewTable("output policy", "xy edge (flits/us)", "negative-first edge (flits/us)", "ratio")
 	for _, pol := range pols {
 		edge := func(alg routing.Algorithm) (float64, error) {
-			// A policy-aware bisection (FindSaturation hard-codes the
-			// default policy, so inline the probe here).
-			lo, hi := 0.25, 4.0
-			var best float64
-			for i := 0; i < 7; i++ {
-				mid := (lo + hi) / 2
-				r, err := sim.Run(sim.Config{
-					Algorithm: alg, Pattern: pat, OfferedLoad: mid,
-					WarmupCycles: o.warmup(), MeasureCycles: o.measure(),
-					Seed: o.Seed + int64(mid*10000), Policy: pol,
-				})
-				if err != nil {
-					return 0, err
-				}
-				if r.Sustainable {
-					lo = mid
-					if r.Throughput > best {
-						best = r.Throughput
-					}
-				} else {
-					hi = mid
-				}
-			}
-			return best, nil
+			sat, err := FindSaturation(sim.Config{Algorithm: alg, Pattern: pat, Policy: pol}, 0.25, 4.0, 7, o)
+			return sat.Throughput, err
 		}
 		xy, err := edge(xyAlg)
 		if err != nil {

@@ -5,9 +5,10 @@ package exp
 // and each distinct pair costs a topology construction plus a route-
 // table compilation (quadratic in the node count). Interning the
 // instances here makes every leaf of every sweep in the process share
-// one topology, one relation and — via routing's per-instance table
-// cache — one compiled table per distinct (topology, algorithm, fault
-// epoch), instead of paying the setup per leaf or per sweep.
+// one topology, one relation and — since routing keeps each relation's
+// compiled table on its topology — one compiled table per distinct
+// (topology, algorithm, fault epoch), instead of paying the setup per
+// leaf or per sweep.
 //
 // Ownership rules:
 //
@@ -23,11 +24,8 @@ package exp
 //     shared topology were mutated in violation of the rule above, a
 //     later SharedAlgorithm call would intern (and compile) a fresh
 //     instance rather than serve a relation whose table is stale.
-//   - Shared relations' table-cache entries are pinned
-//     (routing.PinTable) for the life of the process: the table cache's
-//     size-cap eviction is meant for test-suite churn through
-//     short-lived instances, not for the handful of relations the sweep
-//     layer deliberately keeps warm.
+//   - Shared instances, and so their compiled tables, live for the life
+//     of the process.
 
 import (
 	"fmt"
@@ -60,12 +58,12 @@ func SharedTopology(mk func() *topology.Topology) *topology.Topology {
 }
 
 // SharedAlgorithm interns the relation mk builds on t under (topology,
-// algorithm name, fault epoch) and pins its compiled table. Relation
-// names are parameter-qualified (e.g. "abonf(excl 2)",
-// "turns(west-first,minimal)"), so the name distinguishes differently
-// parameterized instances of one constructor. t should itself be a
-// SharedTopology instance; interning a relation on a private topology
-// would leak the private instance into every later sharer.
+// algorithm name, fault epoch). Relation names are parameter-qualified
+// (e.g. "abonf(excl 2)", "turns(west-first,minimal)"), so the name
+// distinguishes differently parameterized instances of one constructor.
+// t should itself be a SharedTopology instance; interning a relation on
+// a private topology would leak the private instance into every later
+// sharer.
 func SharedAlgorithm(t *topology.Topology, mk func(*topology.Topology) routing.Algorithm) routing.Algorithm {
 	return internAlg(t, mk(t))
 }
@@ -88,11 +86,6 @@ func internAlg(t *topology.Topology, alg routing.Algorithm) routing.Algorithm {
 	if got, ok := sharedAlgs[key]; ok {
 		return got
 	}
-	// Pin under the engine's cache key: the simulator compiles through
-	// routing.AsVC(alg), and AsVC is stable — equal inputs yield equal
-	// (map-comparable) wrapper values. The pin is held for the process
-	// lifetime, like the interned instance itself.
-	routing.PinTable(routing.AsVC(alg))
 	sharedAlgs[key] = alg
 	return alg
 }

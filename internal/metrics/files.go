@@ -6,8 +6,7 @@ import (
 	"path/filepath"
 )
 
-// Standard file names written by WriteFiles and consumed by
-// cmd/metricscheck.
+// Standard file names written by WriteFiles.
 const (
 	// ManifestFile is the JSON run manifest.
 	ManifestFile = "manifest.json"

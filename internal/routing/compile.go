@@ -102,7 +102,6 @@ type span struct{ start, end int32 }
 // each (node, destination) entry is just a two-byte pair index.
 type Table struct {
 	alg   VCAlgorithm
-	topo  *topology.Topology
 	epoch int
 	n     int
 	// route holds, at cur*n+dst, the index of the pair serving that
@@ -296,7 +295,6 @@ func Compile(alg VCAlgorithm) (*Table, error) {
 	invariant := isArrivalInvariant(alg)
 	tab := &Table{
 		alg:      alg,
-		topo:     t,
 		epoch:    t.FaultEpoch(),
 		n:        n,
 		route:    make([]uint16, n*n),
@@ -357,133 +355,56 @@ func appendSpan(tab *Table, cands []Candidate) span {
 	return span{start: start, end: int32(len(tab.cands))}
 }
 
-// tableEntry is one cached compilation: the table at its current epoch,
-// or a sticky failure (a relation that is not compilable at one epoch
-// will not become compilable at another). pins counts PinTable holds
-// and is guarded by tableCacheMu (not e.mu), like the cache map itself.
+// tableEntry is a relation's compiled table, kept on its topology: the
+// table at the epoch it was compiled at, or a sticky failure (a relation
+// that is not compilable at one epoch will not become compilable at
+// another).
 type tableEntry struct {
 	mu     sync.Mutex
 	table  *Table
 	failed bool
-	hooked bool
-	pins   int
 }
 
-// maxCachedTables caps the process-wide table cache. Tables are a few
-// megabytes on the largest figure topologies, and test suites churn
-// through many short-lived algorithm instances; beyond the cap an
-// arbitrary entry is evicted (its topology hook stays registered but
-// only clears a dead entry).
-const maxCachedTables = 32
-
-var (
-	tableCacheMu sync.Mutex
-	tableCache   = map[VCAlgorithm]*tableEntry{}
-)
+// tableKey keys a relation's tableEntry among its topology's derived
+// values.
+type tableKey struct{ alg VCAlgorithm }
 
 // TableFor returns the compiled routing table for alg at its topology's
-// current fault epoch, compiling on first use and caching per algorithm
-// value. Repeated calls — e.g. one simulation per load point sharing
-// one algorithm instance — reuse the compilation. It returns nil when
-// alg is not compilable (arrival-dependent relations, oversized
-// topologies, algorithm values that cannot be map keys); callers fall
+// current fault epoch, compiling on first use. The table is kept on the
+// topology (topology.Derived), keyed by the relation value, so it lives
+// as long as the topology does, and repeated calls — e.g. one simulation
+// per load point sharing one relation — reuse the compilation. After a
+// fault-set change the next call recompiles at the new epoch. It returns
+// nil when alg is not compilable (arrival-dependent relations, oversized
+// topologies, relation values that cannot be map keys); callers fall
 // back to direct CandidatesVC evaluation.
-//
-// When the topology's fault set changes, the cached table is dropped by
-// the fault-change hook and recompiled at the new epoch on the next
-// call.
 func TableFor(alg VCAlgorithm) *Table {
 	if !cacheable(alg) {
 		return nil
 	}
-	tableCacheMu.Lock()
-	e := cacheEntryLocked(alg)
-	tableCacheMu.Unlock()
-
+	topo := alg.Topology()
+	e := topo.Derived(tableKey{alg}, func() any { return new(tableEntry) }).(*tableEntry)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.failed {
 		return nil
 	}
-	topo := alg.Topology()
 	if e.table != nil && e.table.epoch == topo.FaultEpoch() {
 		return e.table
 	}
-	if !e.hooked {
-		e.hooked = true
-		// Drop the stale table as soon as the fault set changes; the
-		// epoch check above is the correctness mechanism, the hook just
-		// releases the memory eagerly. notifyFaultChange runs hooks
-		// outside the topology's own lock, so taking e.mu here is safe.
-		topo.OnFaultChange(func() {
-			e.mu.Lock()
-			e.table = nil
-			e.mu.Unlock()
-		})
-	}
 	tab, err := Compile(alg)
 	if err != nil {
-		e.failed = true
+		e.table, e.failed = nil, true
 		return nil
 	}
 	e.table = tab
 	return tab
 }
 
-// cacheable reports whether alg can key the table cache. The check is
+// cacheable reports whether alg can key its table entry. The check is
 // on the value, not the type: AsVC's comparable wrapper can hold a
-// relation whose dynamic type has slice or map fields, and indexing the
+// relation whose dynamic type has slice or map fields, and indexing a
 // map with it would panic.
 func cacheable(alg VCAlgorithm) bool {
 	return alg != nil && reflect.ValueOf(alg).Comparable()
-}
-
-// cacheEntryLocked returns alg's cache entry, creating it (and evicting
-// an unpinned entry if the cache is at its cap) when absent. Callers
-// hold tableCacheMu. Pinned entries never count as eviction victims;
-// when every entry is pinned the cache simply grows past the cap — the
-// cap protects against churn through short-lived algorithm instances,
-// while pins mark the long-lived shared relations the sweep layer
-// deliberately keeps.
-func cacheEntryLocked(alg VCAlgorithm) *tableEntry {
-	e, ok := tableCache[alg]
-	if !ok {
-		if len(tableCache) >= maxCachedTables {
-			for k, v := range tableCache {
-				if v.pins > 0 {
-					continue
-				}
-				delete(tableCache, k)
-				break
-			}
-		}
-		e = &tableEntry{}
-		tableCache[alg] = e
-	}
-	return e
-}
-
-// PinTable marks alg's compiled-table cache entry as exempt from the
-// size-cap eviction, so a long-lived shared relation (internal/exp's
-// cross-leaf compile cache) never loses its table to the arbitrary
-// eviction that protects against test-suite churn. It does not compile
-// anything — the first TableFor call still does that. The returned
-// release drops the pin (idempotent); pinning a non-comparable relation
-// is a no-op, matching TableFor's refusal to cache it.
-func PinTable(alg VCAlgorithm) (release func()) {
-	if !cacheable(alg) {
-		return func() {}
-	}
-	tableCacheMu.Lock()
-	e := cacheEntryLocked(alg)
-	e.pins++
-	tableCacheMu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			tableCacheMu.Lock()
-			e.pins--
-			tableCacheMu.Unlock()
-		})
-	}
 }

@@ -1,7 +1,9 @@
 package routing
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"turnmodel/internal/core"
 	"turnmodel/internal/topology"
@@ -362,6 +364,62 @@ func TestTableForCacheAndFaultInvalidation(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sentinel is a heap object whose finalizer reports that nothing
+// reaches it any more. Its size keeps it out of the tiny allocator,
+// whose shared blocks can delay a finalizer indefinitely.
+type sentinel struct{ pad [4]int64 }
+
+// withSentinel is a comparable relation that holds a sentinel.
+type withSentinel struct {
+	Algorithm
+	s *sentinel
+}
+
+// TestTableLivesWithTopology: TableFor keeps a compiled table on its
+// topology, not in a process-global map, so once the caller drops the
+// relation and its topology, the relation (and its table) can be
+// collected.
+func TestTableLivesWithTopology(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		s := &sentinel{}
+		runtime.SetFinalizer(s, func(*sentinel) { close(collected) })
+		alg := AsVC(withSentinel{NewDimensionOrder(topology.NewMesh(3, 3)), s})
+		if TableFor(alg) == nil {
+			t.Fatal("TableFor failed for a compilable relation")
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("a relation and its topology outlived every reference to them: something global holds the compiled table")
+}
+
+// noted is a user relation held by value with a slice field: its type
+// is not comparable, though AsVC's wrapper around it is.
+type noted struct {
+	Algorithm
+	notes []string
+}
+
+// TestTableForUncomparable: a relation that cannot be a map key is not
+// compiled, and asking for its table must not panic — including one
+// whose comparable wrapper hides a non-comparable value.
+func TestTableForUncomparable(t *testing.T) {
+	if TableFor(nil) != nil {
+		t.Error("TableFor(nil) returned a table")
+	}
+	alg := AsVC(noted{NewDimensionOrder(topology.NewMesh(2, 2)), []string{"held by value"}})
+	if TableFor(alg) != nil {
+		t.Error("TableFor compiled a relation that cannot key its table entry")
 	}
 }
 

@@ -17,10 +17,9 @@ type CanRouter interface {
 // alg cannot serve under its topology's current fault set — the pairs a
 // fault campaign must expect to drop (or to deadlock on, for relations
 // that lose connectivity non-gracefully). Relations implementing
-// CanRouter answer directly; for the rest, reachability is computed by
-// a per-destination reverse search over (router, arrival-port) states
-// of the routing relation, honoring disabled channels exactly as the
-// simulator's allocation does.
+// CanRouter answer directly; the rest go through UnroutablePairsVC's
+// search, which honors disabled channels exactly as the simulator's
+// allocation does.
 func UnroutablePairs(alg Algorithm) int {
 	if cr, ok := alg.(CanRouter); ok {
 		t := alg.Topology()
@@ -35,15 +34,19 @@ func UnroutablePairs(alg Algorithm) int {
 		}
 		return bad
 	}
-	return unroutableGeneric(alg)
+	return UnroutablePairsVC(AsVC(alg))
 }
 
-// UnroutablePairsVC is UnroutablePairs lifted to virtual-channel
-// relations: the reverse search runs over (router, arrival virtual
-// direction) states, so a pair counts as routable only when a VC-valid
-// path exists — projecting the relation onto physical directions would
-// overcount, since a VC transition permitted from one arrival channel
-// may be forbidden from another (the dateline scheme's whole point).
+// UnroutablePairsVC is UnroutablePairs for virtual-channel relations.
+// For each destination it builds the state graph whose nodes are
+// (router, arrival virtual direction) pairs, plus "injected", and whose
+// edges are the relation's candidate moves over enabled channels, then
+// runs one reverse search from the destination's states; a source is
+// routable iff its injected state reaches the destination. A pair thus
+// counts as routable only when a VC-valid path exists — projecting the
+// relation onto physical directions would overcount, since a VC
+// transition permitted from one arrival channel may be forbidden from
+// another (the dateline scheme's whole point).
 func UnroutablePairsVC(alg VCAlgorithm) int {
 	t := alg.Topology()
 	n := t.Nodes()
@@ -55,6 +58,7 @@ func UnroutablePairsVC(alg VCAlgorithm) int {
 	reach := make([]bool, nstates)
 	queue := make([]int32, 0, nstates)
 	var buf []VirtualDirection
+	var dirs []topology.Direction
 	bad := 0
 	for dsti := 0; dsti < n; dsti++ {
 		dst := topology.NodeID(dsti)
@@ -65,6 +69,8 @@ func UnroutablePairsVC(alg VCAlgorithm) int {
 		queue = queue[:0]
 		for v := 0; v < n; v++ {
 			if v == dsti {
+				// The relation must not be asked for candidates at the
+				// destination; its states are the accepting set.
 				for ip := 0; ip < ports; ip++ {
 					s := int32(v*ports + ip)
 					reach[s] = true
@@ -78,7 +84,7 @@ func UnroutablePairsVC(alg VCAlgorithm) int {
 				if ip < ndirs*vcs {
 					in = VCArrived(VirtualDirection{Dir: topology.DirectionFromIndex(ip / vcs), VC: ip % vcs})
 				}
-				buf = alg.CandidatesVC(cur, dst, in, buf[:0])
+				buf, dirs = Evaluate(alg, cur, dst, in, buf[:0], dirs)
 				for _, vd := range buf {
 					if !t.Enabled(topology.Channel{From: cur, Dir: vd.Dir}) {
 						continue
@@ -104,81 +110,6 @@ func UnroutablePairsVC(alg VCAlgorithm) int {
 		}
 		for v := 0; v < n; v++ {
 			if v != dsti && !reach[v*ports+ndirs*vcs] {
-				bad++
-			}
-		}
-	}
-	return bad
-}
-
-// unroutableGeneric computes UnroutablePairs for an arbitrary relation.
-// For each destination it builds the state graph whose nodes are
-// (router, arrival port) pairs — arrival ports are the 2n incoming
-// directions plus "injected" — and whose edges are the relation's
-// candidate moves over enabled channels, then runs one reverse BFS from
-// the destination's states. A source is routable iff its injected
-// state reaches the destination.
-func unroutableGeneric(alg Algorithm) int {
-	t := alg.Topology()
-	n := t.Nodes()
-	ndirs := 2 * t.NumDims()
-	ports := ndirs + 1 // arrival directions plus injected
-	nstates := n * ports
-	rev := make([][]int32, nstates)
-	reach := make([]bool, nstates)
-	queue := make([]int32, 0, nstates)
-	var buf []topology.Direction
-	bad := 0
-	for dsti := 0; dsti < n; dsti++ {
-		dst := topology.NodeID(dsti)
-		for i := range rev {
-			rev[i] = rev[i][:0]
-			reach[i] = false
-		}
-		queue = queue[:0]
-		for v := 0; v < n; v++ {
-			if v == dsti {
-				// The relation must not be asked for candidates at the
-				// destination; its states are the accepting set.
-				for ip := 0; ip < ports; ip++ {
-					s := int32(v*ports + ip)
-					reach[s] = true
-					queue = append(queue, s)
-				}
-				continue
-			}
-			cur := topology.NodeID(v)
-			for ip := 0; ip < ports; ip++ {
-				in := Injected
-				if ip < ndirs {
-					in = Arrived(topology.DirectionFromIndex(ip))
-				}
-				buf = alg.Candidates(cur, dst, in, buf[:0])
-				for _, d := range buf {
-					if !t.Enabled(topology.Channel{From: cur, Dir: d}) {
-						continue
-					}
-					u, ok := t.Neighbor(cur, d)
-					if !ok {
-						continue
-					}
-					to := int32(int(u)*ports + d.Index())
-					rev[to] = append(rev[to], int32(v*ports+ip))
-				}
-			}
-		}
-		for len(queue) > 0 {
-			s := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, from := range rev[s] {
-				if !reach[from] {
-					reach[from] = true
-					queue = append(queue, from)
-				}
-			}
-		}
-		for v := 0; v < n; v++ {
-			if v != dsti && !reach[v*ports+ndirs] {
 				bad++
 			}
 		}

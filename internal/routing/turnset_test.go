@@ -234,3 +234,36 @@ func TestTurnSetRoutingDimsMismatchPanics(t *testing.T) {
 	}()
 	NewTurnGraphRouting(topology.NewMesh(4, 4, 4), core.WestFirstSet(), true)
 }
+
+// TestUnroutablePairsFastPathAgrees: UnroutablePairs answers turn-graph
+// relations through their CanRoute fast path; it must count exactly
+// what the reverse state search counts, for minimal and nonminimal
+// relations, as faults accumulate.
+func TestUnroutablePairsFastPathAgrees(t *testing.T) {
+	sets := []*core.Set{core.WestFirstSet(), core.NorthLastSet(), core.NegativeFirstSet(2)}
+	rng := rand.New(rand.NewSource(7))
+	for _, set := range sets {
+		for _, minimal := range []bool{true, false} {
+			mesh := topology.NewMesh(6, 6)
+			alg := NewTurnGraphRouting(mesh, set, minimal)
+			var chans []topology.Channel
+			mesh.Channels(func(c topology.Channel) { chans = append(chans, c) })
+			seen := 0
+			for round := 0; round < 6; round++ {
+				for k := 0; k < 3; k++ {
+					if err := mesh.DisableChannel(chans[rng.Intn(len(chans))]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fast, search := UnroutablePairs(alg), UnroutablePairsVC(AsVC(alg))
+				if fast != search {
+					t.Fatalf("%s round %d: fast path counts %d unroutable pairs, search %d", alg.Name(), round, fast, search)
+				}
+				seen += fast
+			}
+			if seen == 0 {
+				t.Errorf("%s: no round left a pair unroutable; the comparison is vacuous", alg.Name())
+			}
+		}
+	}
+}

@@ -188,10 +188,8 @@ type Engine struct {
 	// no heap allocations.
 	scratch allocState
 
-	// seedOrder is the cycle's flowing inputs in worklist push order
-	// when vcs > 1 (see buildSeedOrder); seedScratch is the flowing-set
-	// enumeration it is built from.
-	seedOrder   []int32
+	// seedScratch is the flowing-set enumeration seedMoveWork walks when
+	// vcs > 1.
 	seedScratch []int32
 
 	// lenStart snapshots each buffer's length at the top of the move
@@ -807,49 +805,30 @@ func (e *Engine) seedMoveWork() {
 		}
 		return
 	}
-	e.buildSeedOrder()
-	for _, i := range e.seedOrder {
-		if !e.stalledLow.get(i) {
-			e.pushWork(i)
-		}
-	}
-}
-
-// buildSeedOrder fills e.seedOrder with the cycle's flowing inputs in
-// worklist push order: routers ascending, physical directions ascending,
-// injection channel last, and within each physical direction the virtual
-// channels in the cycle-rotated round-robin order (the preferred channel
-// last, because the drain pops LIFO).
-func (e *Engine) buildSeedOrder() {
-	e.seedOrder = e.seedOrder[:0]
 	buf := e.flowing.appendTo(e.seedScratch[:0])
 	e.seedScratch = buf[:0]
 	rot := int(e.cycle) % e.vcs
-	for idx := 0; idx < len(buf); {
+	for idx := 0; idx < len(buf); idx++ {
 		i := buf[idx]
 		port := int(i) % e.vport
 		if port == e.vport-1 {
-			e.seedOrder = append(e.seedOrder, i)
-			idx++
+			if !e.stalledLow.get(i) {
+				e.pushWork(i)
+			}
 			continue
 		}
-		// Gather this physical direction's flowing virtual channels
-		// (consecutive indices) and push them in rotated order.
+		// i is the first flowing virtual channel of its physical
+		// direction: push the direction's flowing channels in rotated
+		// order, then skip past them.
 		dirBase := i - int32(port%e.vcs)
-		end := idx
-		for end < len(buf) && buf[end] < dirBase+int32(e.vcs) {
-			end++
-		}
 		for k := e.vcs - 1; k >= 0; k-- {
-			want := dirBase + int32((rot+k)%e.vcs)
-			for g := idx; g < end; g++ {
-				if buf[g] == want {
-					e.seedOrder = append(e.seedOrder, want)
-					break
-				}
+			if vc := dirBase + int32((rot+k)%e.vcs); e.flowing.get(vc) && !e.stalledLow.get(vc) {
+				e.pushWork(vc)
 			}
 		}
-		idx = end
+		for idx+1 < len(buf) && buf[idx+1] < dirBase+int32(e.vcs) {
+			idx++
+		}
 	}
 }
 
@@ -898,9 +877,7 @@ func (e *Engine) injectQueued() {
 
 // tryInject moves the next flit of the source queue's head packet into
 // the injection buffer, modeling the processor-to-router channel
-// (bandwidth one flit per cycle). It mutates the buffer and the queue,
-// then hands the rest — bitsets, dirty lists, metrics, observer
-// callback, global counters — to applyInject.
+// (bandwidth one flit per cycle).
 func (e *Engine) tryInject(v topology.NodeID) {
 	q := &e.queues[v]
 	if q.len() == 0 {
@@ -915,65 +892,34 @@ func (e *Engine) tryInject(v topology.NodeID) {
 		return
 	}
 	p := q.front()
-	f := flit{p: p, head: p.flitsSent == 0, tail: p.flitsSent == p.length-1}
-	b.q = append(b.q, f)
-	var flag uint8
+	head := p.flitsSent == 0
+	b.q = append(b.q, flit{p: p, head: head, tail: p.flitsSent == p.length-1})
 	if b.allocOut >= 0 {
-		flag |= fFlowSet
-	}
-	if f.head {
-		flag |= fHead
-		b.headArrival = e.cycle
-		p.injectCycle = e.cycle
-		if len(b.q) == 1 {
-			flag |= fWakeSelf
-		}
+		e.flowing.set(in)
 	}
 	p.flitsSent++
 	p.lastProgress = e.cycle
-	e.injUsed[in] = true
-	if f.tail {
+	if p.flitsSent == p.length {
 		q.pop()
 	}
-	e.applyInject(in, p, flag)
-}
-
-// Move-effect flags: the facts tryInject and moveOne establish while
-// mutating buffers and channel holds, which the apply functions act on.
-// fWakeSelf folds the release wake-up and the new-front-header wake-up
-// together — both target the moving input's own router, and the
-// allocation worklist bit is idempotent.
-const (
-	fHead      uint8 = 1 << iota // the moved flit was a header
-	fTail                        // the moved flit was a tail (deliver/release)
-	fFlowSet                     // set the destination's flowing bit
-	fFlowClear                   // clear the source's flowing bit
-	fWakeSelf                    // wake the source router's allocation scan
-	fWakeDest                    // wake the destination router's allocation scan
-)
-
-// applyInject performs the bookkeeping side of one injection: metrics,
-// the flowing bit, the allocation wake-up, the observer callback and the
-// global counters.
-func (e *Engine) applyInject(in int32, p *packet, flag uint8) {
+	e.injUsed[in] = true
+	e.dirtyInj = append(e.dirtyInj, in)
+	e.flitsInjectedEver++
+	e.lastMove = e.cycle
 	if e.m != nil {
-		e.m.Occupancy[int(in)/e.vport]++
+		e.m.Occupancy[v]++
 		e.m.InjectedFlits++
 	}
-	if flag&fFlowSet != 0 {
-		e.flowing.set(in)
-	}
-	if flag&fHead != 0 {
-		if flag&fWakeSelf != 0 {
-			e.pushAllocWork(int32(int(in) / e.vport))
+	if head {
+		b.headArrival = e.cycle
+		p.injectCycle = e.cycle
+		if len(b.q) == 1 {
+			e.pushAllocWork(int32(v))
 		}
 		if e.cfg.Observer != nil {
 			e.cfg.Observer.Inject(e.cycle, p.src, p.dst, p.length)
 		}
 	}
-	e.flitsInjectedEver++
-	e.dirtyInj = append(e.dirtyInj, in)
-	e.lastMove = e.cycle
 }
 
 func (e *Engine) hasSpace(in int32, b *inbuf) bool {
@@ -1002,11 +948,8 @@ func (e *Engine) readyToForward(b *inbuf) bool {
 	return false
 }
 
-// moveOne attempts to advance the front flit of input buffer in. Like
-// tryInject, it mutates buffers, channel holds and packet bookkeeping in
-// place, then hands the rest to applyEject or applyForward; the flags
-// carry the post-mutation facts (queue emptied, head/tail, wake-ups
-// due) those need.
+// moveOne attempts to advance the front flit of input buffer in, and
+// does the move's bookkeeping where it makes the move.
 func (e *Engine) moveOne(in int32) {
 	b := &e.inbufs[in]
 	if len(b.q) == 0 || b.allocOut < 0 {
@@ -1020,111 +963,67 @@ func (e *Engine) moveOne(in int32) {
 	if !e.readyToForward(b) {
 		return
 	}
-	f := b.q[0]
 	dest := e.outDest[out]
+	var db *inbuf
+	if dest >= 0 {
+		if db = &e.inbufs[dest]; !e.hasSpace(dest, db) {
+			return
+		}
+	}
+	f := b.q[0]
+	e.linkUsed[phys] = true
+	e.dirtyLinks = append(e.dirtyLinks, phys)
+	if e.stats.measuring {
+		e.linkFlits[phys]++
+	}
+	e.lastMove = e.cycle
+	f.p.lastProgress = e.cycle
+	e.popFront(in, b)
+	feeder := e.unstallFeeder(in)
+	if e.m != nil {
+		r := int(in) / e.vport
+		e.m.ChannelFlits[phys]++
+		e.m.RouterFlits[r]++
+		e.m.Occupancy[r]--
+	}
 	if dest < 0 {
-		// Ejection: the destination processor consumes immediately.
-		e.linkUsed[phys] = true
-		var flag uint8
-		if popFrontQ(b) {
-			flag |= fFlowClear
-		}
-		feeder := e.unstallFeeder(in)
+		// Ejection: the destination processor consumes immediately. The
+		// tail delivers the packet and frees the ejection channel.
 		f.p.flitsDelivered++
-		f.p.lastProgress = e.cycle
-		if f.tail {
-			// The tail passed: deliver the packet, free the ejection
-			// channel, and wake the router's allocation scan (the release
-			// always wakes it; a new front header would only wake the
-			// same router again).
-			flag |= fTail | fFlowClear | fWakeSelf
-			e.releaseCh(in, out)
+		e.flitsDeliveredEver++
+		if e.stats.measuring {
+			e.stats.flitsDelivered++
 		}
-		e.applyEject(in, out, flag, f.p)
+		if e.m != nil {
+			e.m.DeliveredFlits++
+		}
+		if f.tail {
+			e.release(in, out)
+			e.deliver(f.p)
+		}
 		e.cascade(in, b, feeder)
 		return
 	}
-	db := &e.inbufs[dest]
-	if !e.hasSpace(dest, db) {
-		return
-	}
-	e.linkUsed[phys] = true
-	var flag uint8
-	if f.head {
-		flag |= fHead
-	}
-	if popFrontQ(b) {
-		flag |= fFlowClear
-	}
-	feeder := e.unstallFeeder(in)
 	db.q = append(db.q, f)
 	if db.allocOut >= 0 {
-		flag |= fFlowSet
+		e.flowing.set(dest)
 	}
-	f.p.lastProgress = e.cycle
 	if f.head {
 		db.headArrival = e.cycle
 		f.p.hops++
 		if len(db.q) == 1 {
-			flag |= fWakeDest
+			e.pushAllocWork(dest / int32(e.vport))
 		}
 	}
 	if f.tail {
-		flag |= fTail | fFlowClear | fWakeSelf
-		e.releaseCh(in, out)
+		e.release(in, out)
 	} else if len(db.q) >= e.depth {
 		// The flit filled dest: the worm's next flit must wait for it.
 		// A tail releases the output instead, and its input was not
 		// stalled (dest had space), so there is nothing to clear.
 		e.stall(in, out, dest)
 	}
-	e.applyForward(in, out, flag)
-	e.cascade(in, b, feeder)
-}
-
-// applyEject performs the bookkeeping side of one ejection move:
-// metrics, link accounting, delivery finalization, the flowing bit and
-// the wake-up.
-func (e *Engine) applyEject(in, out int32, flag uint8, p *packet) {
-	phys := e.physOf[out]
-	e.dirtyLinks = append(e.dirtyLinks, phys)
-	if e.stats.measuring {
-		e.linkFlits[phys]++
-	}
 	if e.m != nil {
-		r := int(in) / e.vport
-		e.m.ChannelFlits[phys]++
-		e.m.RouterFlits[r]++
-		e.m.Occupancy[r]--
-		e.m.DeliveredFlits++
-	}
-	e.flitsDeliveredEver++
-	e.lastMove = e.cycle
-	if flag&fFlowClear != 0 {
-		e.flowing.clear(in)
-	}
-	if flag&fTail != 0 {
-		e.deliver(p)
-	}
-	if flag&fWakeSelf != 0 {
-		e.pushAllocWork(int32(int(in) / e.vport))
-	}
-	e.countDeliveredFlit()
-}
-
-// applyForward performs the bookkeeping side of one link traversal:
-// metrics, the observer callback, both flowing bits and the wake-ups.
-func (e *Engine) applyForward(in, out int32, flag uint8) {
-	phys := e.physOf[out]
-	dest := e.outDest[out]
-	e.dirtyLinks = append(e.dirtyLinks, phys)
-	if e.stats.measuring {
-		e.linkFlits[phys]++
-	}
-	if e.m != nil {
-		e.m.ChannelFlits[phys]++
-		e.m.RouterFlits[int(in)/e.vport]++
-		e.m.Occupancy[int(in)/e.vport]--
 		e.m.Occupancy[int(dest)/e.vport]++
 	}
 	if e.cfg.Observer != nil {
@@ -1132,38 +1031,29 @@ func (e *Engine) applyForward(in, out int32, flag uint8) {
 		e.cfg.Observer.Forward(e.cycle, topology.Channel{
 			From: topology.NodeID(int(out) / e.vport),
 			Dir:  topology.DirectionFromIndex(p / e.vcs),
-		}, p%e.vcs, flag&fHead != 0, flag&fTail != 0)
+		}, p%e.vcs, f.head, f.tail)
 	}
-	if flag&fFlowClear != 0 {
-		e.flowing.clear(in)
-	}
-	if flag&fFlowSet != 0 {
-		e.flowing.set(dest)
-	}
-	e.lastMove = e.cycle
-	if flag&fWakeDest != 0 {
-		e.pushAllocWork(int32(int(dest) / e.vport))
-	}
-	if flag&fWakeSelf != 0 {
-		e.pushAllocWork(int32(int(in) / e.vport))
-	}
+	e.cascade(in, b, feeder)
 }
 
-// popFrontQ removes the front flit of buffer b and reports whether the
-// buffer is now empty (the caller folds that into the flowing-clear
-// flag).
-func popFrontQ(b *inbuf) bool {
+// popFront removes the front flit of input buffer in; an emptied buffer
+// stops flowing.
+func (e *Engine) popFront(in int32, b *inbuf) {
 	copy(b.q, b.q[1:])
 	b.q = b.q[:len(b.q)-1]
-	return len(b.q) == 0
+	if len(b.q) == 0 {
+		e.flowing.clear(in)
+	}
 }
 
-// releaseCh frees the virtual output channel held through input in after
-// the tail flit passed. The flowing clear and the allocation wake-up
-// ride the move flags.
-func (e *Engine) releaseCh(in, out int32) {
+// release frees the virtual output channel out held through input in
+// once the tail flit has passed: the input stops flowing, and its
+// router's allocation scan wakes for the freed output.
+func (e *Engine) release(in, out int32) {
 	e.busyBy[out] = -1
 	e.inbufs[in].allocOut = -1
+	e.flowing.clear(in)
+	e.pushAllocWork(in / int32(e.vport))
 }
 
 // stall marks input in, which holds output out, as waiting on out's
@@ -1245,12 +1135,6 @@ func (e *Engine) deliver(p *packet) {
 	// packet; recycle it. Its flits are all consumed (the tail is the
 	// last), so nothing in the network still points at it.
 	e.releasePacket(p)
-}
-
-func (e *Engine) countDeliveredFlit() {
-	if e.stats.measuring {
-		e.stats.flitsDelivered++
-	}
 }
 
 // backlogFlits returns the flits waiting in source queues (including the

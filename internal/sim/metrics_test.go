@@ -1,7 +1,12 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"turnmodel/internal/metrics"
@@ -212,5 +217,79 @@ func TestScriptedUtilizationWindow(t *testing.T) {
 	if got := float64(occ.Count(stream.HottestChannel)) / float64(scripted.Cycles); math.Abs(got-stream.MaxChannelUtilization) > 0.1 {
 		t.Errorf("stream hottest channel %v replayed at utilization %.3f, stream measured %.3f",
 			stream.HottestChannel, got, stream.MaxChannelUtilization)
+	}
+}
+
+// promSample matches one sample line of the Prometheus text exposition
+// format: a metric name, optional labels, and a value.
+var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? (-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?|NaN|[+-]Inf)$`)
+
+// TestMetricsDumpFiles: the files WriteFiles writes after a real run —
+// what turnsim -metrics leaves in its directory — are well formed: a
+// manifest that parses, with sane totals and one block per router;
+// Prometheus text whose every line is a HELP/TYPE comment or a sample;
+// and a non-empty heatmap.
+func TestMetricsDumpFiles(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	m := metrics.New(metrics.Config{Interval: 500})
+	if _, err := Run(Config{
+		Algorithm:     routing.NewWestFirst(topo),
+		Pattern:       traffic.NewMeshTranspose(topo),
+		OfferedLoad:   1.5,
+		WarmupCycles:  500,
+		MeasureCycles: 2000,
+		Seed:          1,
+		Metrics:       m,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := m.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, metrics.ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man metrics.Manifest
+	if err := json.Unmarshal(data, &man); err != nil {
+		t.Fatalf("%s: %v", metrics.ManifestFile, err)
+	}
+	if s := man.Summary; s.Cycles <= 0 || s.DeliveredFlits == 0 || s.InjectedFlits < s.DeliveredFlits ||
+		s.MaxChannelUtilization < 0 || s.MaxChannelUtilization > 1 {
+		t.Errorf("%s: implausible summary %+v", metrics.ManifestFile, s)
+	}
+	if len(man.Routers) != topo.Nodes() {
+		t.Errorf("%s: %d router blocks, want %d", metrics.ManifestFile, len(man.Routers), topo.Nodes())
+	}
+
+	data, err = os.ReadFile(filepath.Join(dir, metrics.PrometheusFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	for i, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			if f := strings.Fields(line); len(f) < 3 || (f[1] != "HELP" && f[1] != "TYPE") {
+				t.Errorf("%s:%d: malformed comment line %q", metrics.PrometheusFile, i+1, line)
+			}
+			continue
+		}
+		if !promSample.MatchString(line) {
+			t.Errorf("%s:%d: malformed sample line %q", metrics.PrometheusFile, i+1, line)
+		}
+		samples++
+	}
+	if samples == 0 {
+		t.Errorf("%s: no sample lines", metrics.PrometheusFile)
+	}
+
+	data, err = os.ReadFile(filepath.Join(dir, metrics.HeatmapFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(strings.TrimSpace(string(data))) == 0 {
+		t.Errorf("%s is empty", metrics.HeatmapFile)
 	}
 }

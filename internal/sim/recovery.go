@@ -153,10 +153,7 @@ func (e *Engine) abortWorm(hin int32) {
 		// The released feeder is not stalled: either the drain above
 		// cleared its bits, or cur held none of the worm's flits, and a
 		// buffer fed by a channel the worm holds is then empty.
-		e.busyBy[up] = -1
-		e.inbufs[feeder].allocOut = -1
-		e.flowing.clear(feeder)
-		e.pushAllocWork(int32(int(up) / e.vport))
+		e.release(feeder, up)
 		released++
 		cur = feeder
 	}

@@ -88,7 +88,9 @@ func (e *Engine) moveTrain(front int32) {
 	} else {
 		p.flitsDelivered++
 		e.flitsDeliveredEver++
-		e.countDeliveredFlit()
+		if measuring {
+			e.stats.flitsDelivered++
+		}
 	}
 	back, prev := front, int32(-1)
 	for k := 1; k < n; k++ {
@@ -115,19 +117,16 @@ func (e *Engine) moveTrain(front int32) {
 		return
 	}
 	// The tail left the back: free its channel and wake its router.
-	e.releaseCh(back, bb.allocOut)
-	e.flowing.clear(back)
+	e.release(back, bb.allocOut)
 	e.stalled.clear(back)
 	e.stalledLow.clear(back)
-	r := back / int32(e.vport)
-	e.pushAllocWork(r)
 	if dest < 0 && f.tail {
 		e.deliver(p)
 	}
 	// The emptied back admits the next packet: the source queue's, or
 	// the worm waiting on it.
 	if int(bb.port) == e.vport-1 {
-		e.tryInject(topology.NodeID(r))
+		e.tryInject(topology.NodeID(back / int32(e.vport)))
 	} else if feeder := e.unstallFeeder(back); feeder >= 0 {
 		e.scratch.work = append(e.scratch.work, feeder)
 	}

@@ -119,12 +119,11 @@ type Topology struct {
 	// layers can invalidate reachability caches.
 	faultEpoch int
 
-	// hookMu guards onFault. Registrations may race (e.g. several
-	// simulations compiling route tables for algorithms that share one
-	// topology), while fault changes themselves happen on whichever
-	// goroutine drives the run.
-	hookMu  sync.Mutex
-	onFault []func()
+	// derivedMu guards derived, the values other packages derive from
+	// the topology (see Derived). Lookups may race: several simulations
+	// can share one topology.
+	derivedMu sync.Mutex
+	derived   map[any]any
 }
 
 // NewMesh returns an n-dimensional mesh with the given dimension lengths,
@@ -385,7 +384,6 @@ func (t *Topology) DisableChannel(c Channel) error {
 	}
 	t.disabled[t.ChannelID(c)] = true
 	t.faultEpoch++
-	t.notifyFaultChange()
 	return nil
 }
 
@@ -399,7 +397,6 @@ func (t *Topology) EnableChannel(c Channel) error {
 	}
 	t.disabled[t.ChannelID(c)] = false
 	t.faultEpoch++
-	t.notifyFaultChange()
 	return nil
 }
 
@@ -419,27 +416,26 @@ func (t *Topology) checkChannel(c Channel) error {
 	return nil
 }
 
-// OnFaultChange registers fn to be called after every DisableChannel or
-// EnableChannel, once the fault epoch has already advanced. Derived
-// caches (e.g. compiled routing tables) use it to drop stale state
-// eagerly instead of holding it until the next epoch comparison.
-// Callbacks cannot be unregistered; keep them small and idempotent.
-func (t *Topology) OnFaultChange(fn func()) {
-	t.hookMu.Lock()
-	t.onFault = append(t.onFault, fn)
-	t.hookMu.Unlock()
-}
-
-// notifyFaultChange invokes the registered callbacks outside the hook
-// lock, so a callback may itself register further hooks or take locks
-// that are held while registering.
-func (t *Topology) notifyFaultChange() {
-	t.hookMu.Lock()
-	hooks := t.onFault
-	t.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn()
+// Derived returns the value stored under key, storing mk() there on
+// first use. Other packages keep values they derive from the topology
+// here (routing keeps its compiled tables), so those values live exactly
+// as long as the topology does. A value that depends on the fault set
+// must carry the FaultEpoch it was derived at and be rebuilt when the
+// epoch moves. key must be comparable; an unexported key type keeps
+// packages from colliding. mk runs under the topology's lock, so it must
+// be cheap and must not call Derived.
+func (t *Topology) Derived(key any, mk func() any) any {
+	t.derivedMu.Lock()
+	defer t.derivedMu.Unlock()
+	v, ok := t.derived[key]
+	if !ok {
+		if t.derived == nil {
+			t.derived = map[any]any{}
+		}
+		v = mk()
+		t.derived[key] = v
 	}
+	return v
 }
 
 // FaultEpoch increments whenever DisableChannel or EnableChannel is

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -245,33 +247,33 @@ func TestFaults(t *testing.T) {
 	}
 }
 
-func TestOnFaultChange(t *testing.T) {
+// TestDerived: a derived value is made once per key, and concurrent
+// callers all get that one value.
+func TestDerived(t *testing.T) {
 	m := NewMesh(4, 4)
-	ch := Channel{From: m.ID(Coord{1, 1}), Dir: Direction{Dim: 0, Pos: true}}
-	calls := 0
-	var epochSeen int
-	m.OnFaultChange(func() {
-		calls++
-		// The epoch must already have advanced when the hook fires, so a
-		// cache that recompiles inside the callback sees fresh state.
-		epochSeen = m.FaultEpoch()
-	})
-	m.DisableChannel(ch)
-	if calls != 1 {
-		t.Fatalf("hook fired %d times after one disable, want 1", calls)
+	type key struct{ name string }
+	var made atomic.Int32
+	mk := func() any { made.Add(1); return new(int) }
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = m.Derived(key{"a"}, mk)
+		}(i)
 	}
-	if epochSeen != m.FaultEpoch() {
-		t.Errorf("hook saw epoch %d, current is %d", epochSeen, m.FaultEpoch())
+	wg.Wait()
+	for _, v := range got {
+		if v != got[0] {
+			t.Fatal("concurrent callers got different values for one key")
+		}
 	}
-	m.EnableChannel(ch)
-	if calls != 2 {
-		t.Errorf("hook fired %d times after disable+enable, want 2", calls)
+	if m.Derived(key{"b"}, mk) == got[0] {
+		t.Error("two keys share one value")
 	}
-	// A second hook and the first must both fire.
-	m.OnFaultChange(func() { calls += 10 })
-	m.DisableChannel(ch)
-	if calls != 13 {
-		t.Errorf("calls = %d after second hook fired, want 13", calls)
+	if n := made.Load(); n != 2 {
+		t.Errorf("mk ran %d times for 2 keys, want 2", n)
 	}
 }
 
