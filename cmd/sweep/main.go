@@ -39,10 +39,15 @@ func run() error {
 	metricsDir := flag.String("metrics", "", "attach metric collectors and write a per-algorithm dump to <dir>/<alg>.metrics.json")
 	metricsInterval := flag.Int64("metrics-interval", 0, "metrics time-series sampling cadence in cycles (0 = default)")
 	progress := flag.Bool("progress", false, "print progress/ETA lines to stderr as simulations complete")
-	saturate := flag.Bool("saturate", false, "bisect for the exact sustainable edge instead of sweeping the grid")
+	saturate := flag.Bool("saturate", false, "bisect for the exact sustainable edge instead of sweeping the grid (not with -metrics, -metrics-interval or -progress)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	if *saturate && (*metricsDir != "" || *metricsInterval != 0 || *progress) {
+		fmt.Fprintln(os.Stderr, "sweep: -saturate takes no -metrics, -metrics-interval or -progress: the bisection attaches no collector and reports no progress")
+		os.Exit(2)
+	}
 
 	stop, err := prof.Start(*cpuprofile)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"turnmodel/internal/adapt"
 	"turnmodel/internal/core"
@@ -22,6 +23,11 @@ import (
 // flits/us/node, bracketing every turn set's saturation point on the
 // campaign meshes.
 var CampaignLoads = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0}
+
+// adaptMesh is the mesh of the deterministic adaptivity-degree column.
+// It is separate from the simulation mesh: exhaustive path counting is
+// exponential-ish in mesh size.
+var adaptMesh = []int{6, 6}
 
 // Campaign benchmarks every surviving symmetry-class representative of
 // a screening across a workload suite, checkpointing each completed
@@ -45,10 +51,6 @@ type Campaign struct {
 	// OutPath, when non-empty, receives the rendered leaderboard after
 	// every figure has a record.
 	OutPath string
-	// AdaptDims is the mesh for the deterministic adaptivity-degree
-	// column (nil means 6x6). It is separate from the simulation mesh:
-	// exhaustive path counting is exponential-ish in mesh size.
-	AdaptDims []int
 	// StopAfter, when positive, cancels the run after that many figures
 	// have completed and been logged — the kill half of the
 	// kill-and-resume contract, used by tests and demos.
@@ -223,9 +225,13 @@ func (c *Campaign) Run() error {
 		}
 		defer ckpt.Close() // error paths; the success path checks Close below
 		stop := make(chan struct{})
+		var stopOnce sync.Once
+		halt := func() { stopOnce.Do(func() { close(stop) }) }
+		// Halting on return also ends mergeCancel's goroutine, which an
+		// Opts.Cancel that never closes would otherwise leak.
+		defer halt()
 		o.Cancel = mergeCancel(c.Opts.Cancel, stop)
 		completed := 0
-		stopped := false
 		var writeErr error
 		runErr := exp.RunFigureSet(todo, o, func(f exp.FigureSpec, sweeps []exp.Sweep) {
 			r := record(exp.CacheKey(f, o), f, sweeps)
@@ -236,19 +242,15 @@ func (c *Campaign) Run() error {
 				// A figure that cannot be checkpointed would be lost to the
 				// next resume: stop the campaign and report it.
 				writeErr = fmt.Errorf("explore: checkpoint write failed: %w", err)
-				if !stopped {
-					stopped = true
-					close(stop)
-				}
+				halt()
 			}
 			done[r.CacheKey] = r
 			completed++
 			if c.Verbose != nil {
 				fmt.Fprintf(c.Verbose, "turnscan: %s done (%d/%d)\n", f.ID, len(specs)-len(todo)+completed, len(specs))
 			}
-			if c.StopAfter > 0 && completed >= c.StopAfter && !stopped {
-				stopped = true
-				close(stop)
+			if c.StopAfter > 0 && completed >= c.StopAfter {
+				halt()
 			}
 		})
 		if err := ckpt.Close(); err != nil && writeErr == nil {
@@ -305,12 +307,8 @@ func mergeCancel(a, b <-chan struct{}) <-chan struct{} {
 // adaptivity computes the deterministic adaptivity-degree column: the
 // mean ratio of the set's minimal shortest-path count to the fully
 // adaptive count over all pairs of a small mesh.
-func (c *Campaign) adaptivity(canon uint16) adapt.RatioStats {
-	dims := c.AdaptDims
-	if len(dims) == 0 {
-		dims = []int{6, 6}
-	}
-	t := topology.NewMesh(dims...)
+func adaptivity(canon uint16) adapt.RatioStats {
+	t := topology.NewMesh(adaptMesh...)
 	alg := routing.NewTurnGraphRouting(t, core.SetFromKey2D(canon), true)
 	return adapt.AverageRatio(t, func(src, dst topology.NodeID) *big.Int {
 		return adapt.CountShortestPaths(alg, src, dst)
@@ -348,7 +346,7 @@ func (c *Campaign) WriteLeaderboard(w io.Writer, done map[string]Record, o exp.O
 	mesh := dimsLabel(c.Screen.Dims)
 	var rows []lbRow
 	for _, cl := range c.Screen.Survivors() {
-		row := lbRow{class: cl, adapt: c.adaptivity(cl.Canon)}
+		row := lbRow{class: cl, adapt: adaptivity(cl.Canon)}
 		for _, pat := range pats {
 			r := recOf[fmt.Sprintf("turnscan/%s/0x%02x/%s", mesh, cl.Canon, pat)]
 			thr, p99 := r.MaxSustainable()
@@ -377,12 +375,7 @@ func (c *Campaign) WriteLeaderboard(w io.Writer, done map[string]Record, o exp.O
 	fmt.Fprintf(w, "folding into 3 classes (west-first, north-last, negative-first) — matches the paper.\n\n")
 	fmt.Fprintf(w, "Throughput is the highest sustainable measured throughput (flits/us); p99 is\n")
 	fmt.Fprintf(w, "the 99th-percentile message latency (us) at that point. Adaptivity is the mean\n")
-	fmt.Fprintf(w, "S_p/S_f shortest-path ratio on a %s mesh.\n\n", dimsLabel(func() []int {
-		if len(c.AdaptDims) > 0 {
-			return c.AdaptDims
-		}
-		return []int{6, 6}
-	}()))
+	fmt.Fprintf(w, "S_p/S_f shortest-path ratio on a %s mesh.\n\n", dimsLabel(adaptMesh))
 	fmt.Fprintf(w, "| rank | set | family | class size | turns allowed | adaptivity |")
 	for _, pat := range pats {
 		fmt.Fprintf(w, " %s thr | %s p99 |", pat, pat)

@@ -5,8 +5,10 @@ import (
 	"math/big"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"turnmodel/internal/adapt"
 	"turnmodel/internal/core"
@@ -177,6 +179,26 @@ func TestCampaignResume(t *testing.T) {
 	}
 	if !strings.Contains(string(got), "| rank |") {
 		t.Error("leaderboard missing the ranking table")
+	}
+}
+
+// TestCampaignRunLeavesNoGoroutine: a campaign run with a caller's
+// Opts.Cancel that never closes leaves no goroutine behind once Run
+// returns; the goroutine merging that channel with the campaign's own
+// stop channel must end.
+func TestCampaignRunLeavesNoGoroutine(t *testing.T) {
+	c := campaignFor(t, Screen(topology.NewMesh(4, 4)), t.TempDir(), "leak")
+	c.Opts.Cancel = make(chan struct{})
+	before := runtime.NumGoroutine()
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Goroutines that Run ended may still be on their way out.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Run, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -78,11 +78,11 @@ func (m *Collector) BuildManifest() Manifest {
 		Samples:        m.samples,
 		ExactLatencies: m.exact,
 	}
-	for v := range m.RouterFlits {
+	for v, f := range m.forwarded() {
 		r := RouterMetrics{
 			Router:            v,
 			Coord:             m.topo.Coord(topology.NodeID(v)),
-			FlitsForwarded:    m.RouterFlits[v],
+			FlitsForwarded:    f,
 			Grants:            m.Grants[v],
 			Denials:           m.Denials[v],
 			Misroutes:         m.Misroutes[v],
@@ -159,7 +159,7 @@ func (m *Collector) WritePrometheus(w io.Writer) error {
 			}
 		})
 	}
-	perRouter("turnsim_router_flits_forwarded_total", "Flits forwarded by the router, ejections included.", m.RouterFlits)
+	perRouter("turnsim_router_flits_forwarded_total", "Flits forwarded by the router, ejections included.", m.forwarded())
 	perRouter("turnsim_router_allocation_grants_total", "Output-channel allocations granted.", m.Grants)
 	perRouter("turnsim_router_allocation_denials_total", "Allocation attempts with every permitted output busy.", m.Denials)
 	perRouter("turnsim_router_misroutes_total", "Granted outputs that did not reduce distance to the destination.", m.Misroutes)

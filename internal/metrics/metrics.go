@@ -5,16 +5,15 @@
 // the tracing interface; this package is the counting one).
 //
 // A Collector is attached to a run through sim.Config.Metrics. The
-// engine binds it at construction and then increments the exported
-// counter slices directly — no interface dispatch, no per-event
-// closures, no allocation in steady state. When no Collector is
-// attached the engine's hot path pays exactly one nil check per hook,
-// preserving the zero-overhead-when-disabled invariant guarded by
-// TestAllocateZeroAllocs. An attached Collector keeps the run on the
-// engine's per-flit move path, where the per-flit channel and router
-// counters are incremented: a run in the worm-train class (one virtual
-// channel, 1-flit wormhole buffers, chained advance) gives the same
-// results with a Collector, but runs slower.
+// engine binds it at construction and then increments its allocation
+// and occupancy counters directly — no interface dispatch, no per-event
+// closures, no allocation in steady state. Counts the engine keeps
+// anyway are not kept twice: ChannelFlits is the engine's per-link
+// count, and the network-wide totals are copies of the engine's. When
+// no Collector is attached the engine's hot path pays exactly one nil
+// check per hook, preserving the zero-overhead-when-disabled invariant
+// guarded by TestAllocateZeroAllocs. Both engine move paths, worm
+// trains and per-flit, fill a Collector alike.
 //
 // All quantities are in simulator cycles and flits; exporters report
 // the raw units and leave unit conversion to consumers.
@@ -32,11 +31,8 @@ type Config struct {
 	Interval int64
 	// ExactLatencies additionally records every delivered packet's
 	// latency exactly (unbounded memory on long runs — a debugging
-	// flag). The bucketed histogram is always maintained.
+	// flag). The histogram, with 1-cycle buckets, is always maintained.
 	ExactLatencies bool
-	// HistogramBucket is the latency histogram bucket width in cycles
-	// (default 1).
-	HistogramBucket float64
 }
 
 // Sample is one windowed time-series observation, taken every
@@ -65,9 +61,6 @@ type Collector struct {
 
 	// Per-router counters, indexed by router (node) id.
 
-	// RouterFlits counts flits forwarded out of each router, including
-	// ejections to the local processor.
-	RouterFlits []int64
 	// Grants counts output-channel allocations granted at each router
 	// (one per packet per router traversed, ejection included).
 	Grants []int64
@@ -90,18 +83,17 @@ type Collector struct {
 
 	// ChannelFlits counts flits per physical output channel, indexed
 	// router*nphys+phys exactly like the engine's linkUsed array; slot
-	// nphys-1 of each router is the ejection channel.
+	// nphys-1 of each router is the ejection channel. It is the slice
+	// the engine counts its links into, from cycle zero.
 	ChannelFlits []int64
 
-	// InjectedFlits and DeliveredFlits are network-wide flit totals.
+	// Network-wide totals, copied from the engine's counters before each
+	// sample and at run end: flits injected and delivered, and, when
+	// deadlock recovery is enabled (sim.Config.RecoveryThreshold > 0),
+	// regressive worm aborts, source-level re-injections, retry-budget
+	// exhaustions and flits the aborts removed from network buffers.
 	InjectedFlits  int64
 	DeliveredFlits int64
-
-	// Recovery counters, network-wide, incremented by the engine when
-	// deadlock recovery is enabled (sim.Config.RecoveryThreshold > 0):
-	// Recoveries counts regressive worm aborts, Retries source-level
-	// re-injections, PacketsDropped retry-budget exhaustions, and
-	// DrainedFlits the flits aborts removed from network buffers.
 	Recoveries     int64
 	Retries        int64
 	PacketsDropped int64
@@ -116,16 +108,12 @@ type Collector struct {
 	latencies  *stats.Histogram
 	epochLats  []stats.Accumulator
 	exact      []float64
-	bound      bool
 }
 
 // New returns an unbound Collector; the engine binds it to a topology
 // when the run is constructed.
 func New(cfg Config) *Collector {
-	if cfg.HistogramBucket <= 0 {
-		cfg.HistogramBucket = 1
-	}
-	return &Collector{cfg: cfg, latencies: stats.NewHistogram(cfg.HistogramBucket)}
+	return &Collector{cfg: cfg, latencies: stats.NewHistogram(1)}
 }
 
 // Bind sizes the counters for a run on topology t with nphys physical
@@ -135,7 +123,6 @@ func (m *Collector) Bind(t *topology.Topology, nphys int) {
 	n := t.Nodes()
 	m.topo = t
 	m.nphys = nphys
-	m.RouterFlits = make([]int64, n)
 	m.Grants = make([]int64, n)
 	m.Denials = make([]int64, n)
 	m.Misroutes = make([]int64, n)
@@ -154,13 +141,9 @@ func (m *Collector) Bind(t *topology.Topology, nphys int) {
 	m.nextSample = m.cfg.Interval
 	m.samples = m.samples[:0]
 	m.lastDel = 0
-	m.latencies = stats.NewHistogram(m.cfg.HistogramBucket)
+	m.latencies = stats.NewHistogram(1)
 	m.exact = m.exact[:0]
-	m.bound = true
 }
-
-// Bound reports whether the collector has been attached to a run.
-func (m *Collector) Bound() bool { return m.bound }
 
 // EndCycle accumulates the per-cycle time integrals. The engine calls
 // it once per simulated cycle.
@@ -227,12 +210,6 @@ func (m *Collector) RecordEpochLatency(epoch int, cycles float64) {
 	m.epochLats[epoch].Add(cycles)
 }
 
-// EpochLatencies returns the per-fault-epoch latency accumulators,
-// indexed by epoch. Epochs with no deliveries have zero-count
-// accumulators; the slice is empty when RecordEpochLatency was never
-// called (no fault plan, or no metrics-attached deliveries).
-func (m *Collector) EpochLatencies() []stats.Accumulator { return m.epochLats }
-
 // Samples returns the recorded time series.
 func (m *Collector) Samples() []Sample { return m.samples }
 
@@ -256,6 +233,16 @@ func (m *Collector) channelUtilization(i int) float64 {
 		return 0
 	}
 	return float64(m.ChannelFlits[i]) / float64(m.cycles)
+}
+
+// forwarded returns the flits each router forwarded, ejections
+// included: the sum of its channel slots.
+func (m *Collector) forwarded() []int64 {
+	out := make([]int64, len(m.Grants))
+	for i, f := range m.ChannelFlits {
+		out[i/m.nphys] += f
+	}
+	return out
 }
 
 // isEjection reports whether channel slot i is a router's ejection
@@ -326,8 +313,8 @@ func (m *Collector) Summarize() Summary {
 		DrainedFlits:   m.DrainedFlits,
 		FaultEpochs:    len(m.epochLats),
 	}
-	for i := range m.RouterFlits {
-		s.FlitsForwarded += m.RouterFlits[i]
+	for i, f := range m.forwarded() {
+		s.FlitsForwarded += f
 		s.Grants += m.Grants[i]
 		s.Denials += m.Denials[i]
 		s.Misroutes += m.Misroutes[i]

@@ -21,8 +21,6 @@ func fill(cfg Config) *Collector {
 	m.ChannelFlits[0*m.nphys+1] = 30        // router 0, east
 	m.ChannelFlits[1*m.nphys+3] = 12        // router 1, north
 	m.ChannelFlits[2*m.nphys+m.nphys-1] = 9 // router 2, ejection
-	m.RouterFlits[0] = 30
-	m.RouterFlits[1] = 12
 	m.Grants[0] = 5
 	m.Denials[1] = 2
 	m.Misroutes[1] = 1
@@ -60,7 +58,9 @@ func TestCollectorAccumulates(t *testing.T) {
 		t.Errorf("window throughput = %v, want 3", s[1].WindowThroughput)
 	}
 	sum := m.Summarize()
-	if sum.FlitsForwarded != 42 || sum.Grants != 5 || sum.Denials != 2 || sum.Misroutes != 1 || sum.WaitCycles != 7 {
+	// A router's forwarded flits are its channel slots, ejection
+	// included: 30 + 12 + router 2's 9 ejected flits.
+	if sum.FlitsForwarded != 51 || sum.Grants != 5 || sum.Denials != 2 || sum.Misroutes != 1 || sum.WaitCycles != 7 {
 		t.Errorf("summary totals wrong: %+v", sum)
 	}
 	if sum.MaxChannelUtilization != 3.0 {

@@ -111,13 +111,10 @@ func TestWholeRunZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Mirror the run loop's measurement-window switch, then warm
+			// Open the measurement window as the run loop does, then warm
 			// until the histogram buckets, ring high-water marks and
 			// freelist cover the steady state.
-			e.stats.measuring = true
-			e.stats.windowStart = e.cycle
-			e.stats.backlogStartFlits = e.backlogFlits()
-			e.stats.backlogStartValid = true
+			e.openWindow()
 			warmup := 3000
 			if tc.turns {
 				// Direct evaluation warms slower: each destination's

@@ -26,7 +26,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"turnmodel/internal/fault"
 	"turnmodel/internal/metrics"
@@ -62,17 +61,6 @@ func (p OutputPolicy) String() string {
 		return "highest-dimension"
 	default:
 		return "random"
-	}
-}
-
-func (p OutputPolicy) choose(cands []topology.Direction, rng *rand.Rand) topology.Direction {
-	switch p {
-	case LowestDimension:
-		return cands[0] // candidates arrive in ascending dimension order
-	case HighestDimension:
-		return cands[len(cands)-1]
-	default:
-		return cands[rng.Intn(len(cands))]
 	}
 }
 
@@ -214,10 +202,10 @@ type Config struct {
 	Script []ScriptedMessage
 
 	// Observer, if non-nil, receives simulation events (injections,
-	// allocations, flit forwards, deliveries). A non-nil observer
-	// selects the per-flit move path: results are the same, but a run
-	// that would otherwise move worms as trains (one virtual channel,
-	// 1-flit wormhole buffers, chained advance) is slower.
+	// allocations, flit forwards, deliveries). Only an observer selects
+	// the per-flit move path, whose Forward order it pins: results are
+	// the same, but a run that would otherwise move worms as trains (one
+	// virtual channel, 1-flit wormhole buffers, chained advance) is slower.
 	Observer Observer
 
 	// FaultPlan, if non-nil, schedules channel faults and repairs on
@@ -263,11 +251,11 @@ type Config struct {
 	// Metrics, if non-nil, attaches a counter collector to the run: the
 	// engine binds it at construction and fills its per-router and
 	// per-channel counters, time series and latency histogram over the
-	// whole run (cycle zero onward). Attaching a collector never
-	// changes simulation results, but like an Observer it selects the
-	// per-flit move path, which increments its per-flit channel and
-	// router counters, so a worm-train-class run is slower with one. The
-	// Observer interface remains the tracing path.
+	// whole run (cycle zero onward). Its channel counters are the
+	// engine's own link counts, and its network-wide totals are copied
+	// from the engine's. Attaching a collector never changes simulation
+	// results or the move path: a worm-train-class run stays on the
+	// train path. The Observer interface remains the tracing path.
 	Metrics *metrics.Collector
 
 	// Stop, if non-nil, is polled once every 1024 cycles; when it

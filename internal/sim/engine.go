@@ -173,10 +173,10 @@ type Engine struct {
 	// full allocation rescan and invalidate candidate caches.
 	lastFaultEpoch int32
 	// trains selects the worm-train move path (train.go): the engine is
-	// trainShaped and no Observer or metrics collector is attached. It
-	// occupies lastFaultEpoch's alignment padding, adding no bytes to
-	// the struct.
-	trains bool
+	// trainShaped and no Observer is attached. countLinks gates the
+	// linkFlits counts. Both occupy lastFaultEpoch's alignment padding.
+	trains     bool
+	countLinks bool
 
 	// dirtyLinks and dirtyInj record which linkUsed/injUsed entries were
 	// set this cycle, so the per-cycle reset touches only those.
@@ -196,9 +196,12 @@ type Engine struct {
 	// phase (strict-advance mode only, nil otherwise).
 	lenStart []int32
 
-	// linkFlits counts flits carried per physical link during the
-	// measurement window, for utilization reporting.
+	// linkFlits counts flits per physical link (linkUsed's index): from
+	// cycle zero when it is an attached collector's ChannelFlits, else
+	// from the window's opening. A link's window count is linkFlits minus
+	// linkStart, openWindow's snapshot (nil when counting starts there).
 	linkFlits []int64
+	linkStart []int64
 
 	// faults replays cfg.FaultPlan as cycles advance, or nil. It runs at
 	// the top of step, before generation and allocation, so a cycle's
@@ -214,14 +217,13 @@ type Engine struct {
 	// once at construction, or nil.
 	recObs RecoveryObserver
 
-	// Whole-run flit conservation counters, maintained unconditionally:
-	// flits that entered the network (left a source queue), flits
-	// consumed at destinations, and flits removed by recovery drains.
-	// The invariant checker's conservation law is
+	// Whole-run flit counters, maintained unconditionally: flits that
+	// entered the network (left a source queue) and flits consumed at
+	// destinations. With recov.flitsDrained, the flits recovery drains
+	// removed, the invariant checker's conservation law is
 	// injected == delivered + drained + (flits sitting in buffers).
 	flitsInjectedEver  int64
 	flitsDeliveredEver int64
-	flitsDrainedEver   int64
 
 	// invariantErr records the first invariant violation found when
 	// cfg.CheckInvariants is set ("" = none so far).
@@ -250,20 +252,19 @@ type allocState struct {
 	work      []int32                    // LIFO movement worklist
 }
 
+// runStats is the measurement window's bookkeeping (see openWindow).
 type runStats struct {
 	measuring          bool
 	windowStart        int64
-	flitsDelivered     int64
 	packetsDelivered   int64
-	packetsGenerated   int64
-	flitsGenerated     int64
-	flitsGenMeasure    int64
+	flitsGenerated     int64   // whole run
 	sumLatency         float64 // cycles, generation -> tail delivery
 	sumNetLatency      float64 // cycles, injection -> tail delivery
 	sumHops            float64
 	maxLatency         float64
 	backlogStartFlits  int64
-	backlogStartValid  bool
+	deliveredStart     int64 // flitsDeliveredEver at the window's opening
+	generatedStart     int64 // flitsGenerated at the window's opening
 	totalDeliveredEver int64
 	latencies          *stats.Histogram
 }
@@ -323,7 +324,7 @@ func New(cfg Config) (*Engine, error) {
 	if c.StrictAdvance {
 		e.lenStart = make([]int32, n*vport)
 	}
-	e.trains = e.trainShaped() && c.Observer == nil && c.Metrics == nil
+	e.trains = e.trainShaped() && c.Observer == nil
 	// Precompute the packet-length distribution's cumulative weights so
 	// drawLength no longer sums the weight vector per draw.
 	e.lenCum = make([]float64, len(c.LengthWeights))
@@ -378,6 +379,8 @@ func New(cfg Config) (*Engine, error) {
 	if c.Metrics != nil {
 		e.m = c.Metrics
 		e.m.Bind(t, e.nphys)
+		e.m.ChannelFlits = e.linkFlits
+		e.countLinks = true
 	}
 	if c.FaultPlan != nil && len(c.FaultPlan.Events) > 0 {
 		d, err := fault.NewDriver(t, c.FaultPlan)
@@ -461,7 +464,6 @@ func (e *Engine) generate() {
 			p.firstDir, p.genCycle = m.FirstDir, e.cycle
 			e.nextPktID++
 			e.queues[m.Src].push(p)
-			e.stats.packetsGenerated++
 			e.stats.flitsGenerated += int64(p.length)
 			e.inFlight++
 		}
@@ -483,11 +485,7 @@ func (e *Engine) generate() {
 			p.genCycle = int64(gen)
 			e.nextPktID++
 			e.queues[v].push(p)
-			e.stats.packetsGenerated++
 			e.stats.flitsGenerated += int64(p.length)
-			if e.stats.measuring {
-				e.stats.flitsGenMeasure += int64(p.length)
-			}
 			e.inFlight++
 		}
 	}
@@ -908,7 +906,6 @@ func (e *Engine) tryInject(v topology.NodeID) {
 	e.lastMove = e.cycle
 	if e.m != nil {
 		e.m.Occupancy[v]++
-		e.m.InjectedFlits++
 	}
 	if head {
 		b.headArrival = e.cycle
@@ -973,7 +970,7 @@ func (e *Engine) moveOne(in int32) {
 	f := b.q[0]
 	e.linkUsed[phys] = true
 	e.dirtyLinks = append(e.dirtyLinks, phys)
-	if e.stats.measuring {
+	if e.countLinks {
 		e.linkFlits[phys]++
 	}
 	e.lastMove = e.cycle
@@ -981,22 +978,13 @@ func (e *Engine) moveOne(in int32) {
 	e.popFront(in, b)
 	feeder := e.unstallFeeder(in)
 	if e.m != nil {
-		r := int(in) / e.vport
-		e.m.ChannelFlits[phys]++
-		e.m.RouterFlits[r]++
-		e.m.Occupancy[r]--
+		e.m.Occupancy[int(in)/e.vport]--
 	}
 	if dest < 0 {
 		// Ejection: the destination processor consumes immediately. The
 		// tail delivers the packet and frees the ejection channel.
 		f.p.flitsDelivered++
 		e.flitsDeliveredEver++
-		if e.stats.measuring {
-			e.stats.flitsDelivered++
-		}
-		if e.m != nil {
-			e.m.DeliveredFlits++
-		}
 		if f.tail {
 			e.release(in, out)
 			e.deliver(f.p)
@@ -1162,6 +1150,9 @@ func (e *Engine) hottestChannel(window int64) (float64, topology.Channel) {
 	for i, f := range e.linkFlits {
 		if i%e.nphys == e.nphys-1 {
 			continue // ejection channel
+		}
+		if e.linkStart != nil {
+			f -= e.linkStart[i]
 		}
 		if f > best {
 			best, bestIdx = f, i

@@ -89,9 +89,9 @@ func (e *Engine) CheckInvariants() error {
 			return err
 		}
 	}
-	if e.flitsInjectedEver != e.flitsDeliveredEver+e.flitsDrainedEver+buffered {
+	if e.flitsInjectedEver != e.flitsDeliveredEver+e.recov.flitsDrained+buffered {
 		return fmt.Errorf("flit conservation: injected %d != delivered %d + drained %d + buffered %d",
-			e.flitsInjectedEver, e.flitsDeliveredEver, e.flitsDrainedEver, buffered)
+			e.flitsInjectedEver, e.flitsDeliveredEver, e.recov.flitsDrained, buffered)
 	}
 	for i := range e.queues {
 		q := &e.queues[i]

@@ -28,7 +28,7 @@ type recoveryState struct {
 	pending []retryEntry // aborted packets waiting out their backoff
 	victims []int32      // scan scratch: header buffer indices to abort
 
-	// Counters for Result and metrics.
+	// Whole-run counters for Result, copied to a metrics collector.
 	recoveries   int64 // worms aborted
 	retries      int64 // re-injections released into source queues
 	drops        int64 // packets whose retry budget ran out
@@ -49,9 +49,6 @@ func (e *Engine) recoverStep() {
 			if en.due <= e.cycle {
 				e.queues[en.p.src].push(en.p)
 				r.retries++
-				if e.m != nil {
-					e.m.Retries++
-				}
 				// A release is engine-driven liveness: don't let a long
 				// backoff with an otherwise idle network read as deadlock.
 				e.lastMove = e.cycle
@@ -174,11 +171,6 @@ func (e *Engine) abortWorm(hin int32) {
 	r := &e.recov
 	r.recoveries++
 	r.flitsDrained += int64(drained)
-	e.flitsDrainedEver += int64(drained)
-	if e.m != nil {
-		e.m.Recoveries++
-		e.m.DrainedFlits += int64(drained)
-	}
 	// The abort itself is progress in the liveness sense.
 	e.lastMove = e.cycle
 
@@ -192,9 +184,6 @@ func (e *Engine) abortWorm(hin int32) {
 	}
 	if dropped {
 		r.drops++
-		if e.m != nil {
-			e.m.PacketsDropped++
-		}
 		e.inFlight--
 		e.releasePacket(p)
 		return

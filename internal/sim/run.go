@@ -33,8 +33,9 @@ type Result struct {
 	// AvgHops is the mean number of network channels traversed.
 	AvgHops float64
 
-	// PacketsDelivered and PacketsGenerated count packets in the
-	// measurement window.
+	// PacketsDelivered counts packets delivered in the measurement window
+	// (a scripted run's is the whole run); PacketsGenerated counts the
+	// whole run's generations, like PacketsGeneratedTotal.
 	PacketsDelivered int64
 	PacketsGenerated int64
 
@@ -155,9 +156,36 @@ func (e *Engine) step() {
 		// The backlog scan is deferred behind SampleDue so it runs only
 		// at the sampling cadence, not every cycle.
 		if e.m.SampleDue(e.cycle) {
+			e.syncMetrics()
 			e.m.TakeSample(e.cycle, int64(e.inFlight), e.backlogFlits())
 		}
 	}
+}
+
+// syncMetrics copies the engine's network-wide totals into the attached
+// collector, which keeps no count of its own for them.
+func (e *Engine) syncMetrics() {
+	e.m.InjectedFlits = e.flitsInjectedEver
+	e.m.DeliveredFlits = e.flitsDeliveredEver
+	e.m.Recoveries = e.recov.recoveries
+	e.m.Retries = e.recov.retries
+	e.m.PacketsDropped = e.recov.drops
+	e.m.DrainedFlits = e.recov.flitsDrained
+}
+
+// openWindow opens the measurement window. Its flit counts are whole-run
+// counters minus the snapshots taken here.
+func (e *Engine) openWindow() {
+	s := &e.stats
+	s.measuring = true
+	s.windowStart = e.cycle
+	s.backlogStartFlits = e.backlogFlits()
+	s.deliveredStart = e.flitsDeliveredEver
+	s.generatedStart = s.flitsGenerated
+	if e.countLinks {
+		e.linkStart = append([]int64(nil), e.linkFlits...)
+	}
+	e.countLinks = true
 }
 
 // Run executes the configured simulation to completion and returns its
@@ -186,7 +214,7 @@ func (e *Engine) run() Result {
 	scripted := e.script != nil
 	if scripted {
 		// Scripted runs measure everything from cycle zero.
-		e.stats.measuring = true
+		e.openWindow()
 	}
 	for {
 		if e.cfg.Stop != nil && e.cycle&1023 == 0 && e.cfg.Stop() {
@@ -203,10 +231,7 @@ func (e *Engine) run() Result {
 				break
 			}
 			if e.cycle == e.cfg.WarmupCycles {
-				e.stats.measuring = true
-				e.stats.windowStart = e.cycle
-				e.stats.backlogStartFlits = e.backlogFlits()
-				e.stats.backlogStartValid = true
+				e.openWindow()
 			}
 		}
 
@@ -228,17 +253,27 @@ func (e *Engine) run() Result {
 	if e.cfg.CheckInvariants {
 		e.checkInvariantsNow("end of run")
 	}
+	if e.m != nil {
+		e.syncMetrics()
+	}
 	res.Recoveries = e.recov.recoveries
 	res.Retries = e.recov.retries
 	res.PacketsDropped = e.recov.drops
 	res.FlitsDrained = e.recov.flitsDrained
-	res.StrandedFlits = e.flitsInjectedEver - e.flitsDeliveredEver - e.flitsDrainedEver
+	res.StrandedFlits = e.flitsInjectedEver - e.flitsDeliveredEver - e.recov.flitsDrained
+	res.PacketsGenerated = e.nextPktID
 	res.PacketsGeneratedTotal = e.nextPktID
 	res.PacketsDeliveredTotal = s.totalDeliveredEver
 	res.PacketsInFlight = int64(e.inFlight)
 	res.InvariantViolation = e.invariantErr
+	// A window that never opened (the run ended in warmup) counted
+	// nothing.
+	var delivered, generated int64
+	if s.measuring {
+		delivered = e.flitsDeliveredEver - s.deliveredStart
+		generated = s.flitsGenerated - s.generatedStart
+	}
 	if scripted {
-		res.PacketsGenerated = s.packetsGenerated
 		res.PacketsDelivered = s.totalDeliveredEver
 		res.Sustainable = !res.Deadlocked
 		if s.packetsDelivered > 0 {
@@ -251,7 +286,7 @@ func (e *Engine) run() Result {
 			res.LatencyP99 = s.latencies.Percentile(0.99) / CyclesPerMicrosecond
 		}
 		if e.cycle > 0 {
-			res.Throughput = float64(s.flitsDelivered) / (float64(e.cycle) / CyclesPerMicrosecond)
+			res.Throughput = float64(delivered) / (float64(e.cycle) / CyclesPerMicrosecond)
 			// Scripted runs measure from cycle zero, so the whole run is
 			// the utilization window.
 			res.MaxChannelUtilization, res.HottestChannel = e.hottestChannel(e.cycle)
@@ -269,7 +304,7 @@ func (e *Engine) run() Result {
 		}
 	}
 	measureUs := float64(window) / CyclesPerMicrosecond
-	res.Throughput = float64(s.flitsDelivered) / measureUs
+	res.Throughput = float64(delivered) / measureUs
 	if s.packetsDelivered > 0 {
 		res.AvgLatency = s.sumLatency / float64(s.packetsDelivered) / CyclesPerMicrosecond
 		res.AvgNetLatency = s.sumNetLatency / float64(s.packetsDelivered) / CyclesPerMicrosecond
@@ -280,10 +315,10 @@ func (e *Engine) run() Result {
 		res.LatencyP99 = s.latencies.Percentile(0.99) / CyclesPerMicrosecond
 	}
 	res.PacketsDelivered = s.packetsDelivered
-	res.PacketsGenerated = s.packetsGenerated
-	res.MaxChannelUtilization, res.HottestChannel = e.hottestChannel(window)
+	if s.measuring {
+		res.MaxChannelUtilization, res.HottestChannel = e.hottestChannel(window)
+	}
 	res.BacklogGrowth = e.backlogFlits() - s.backlogStartFlits
-	genFlits := s.flitsGenMeasure
-	res.Sustainable = !res.Deadlocked && float64(res.BacklogGrowth) <= 0.05*float64(genFlits)+float64(2*e.topo.Nodes())
+	res.Sustainable = !res.Deadlocked && float64(res.BacklogGrowth) <= 0.05*float64(generated)+float64(2*e.topo.Nodes())
 	return res
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the move phase of the train class: one virtual channel,
-// one-flit buffers, chained wormhole advance, and no Observer or metrics
-// collector attached (see trainShaped and New). In that class a worm's
+// one-flit buffers, chained wormhole advance, and no Observer (a metrics
+// collector may be attached; see trainShaped and New). In that class a worm's
 // n = flitsSent - flitsDelivered in-network flits fill a chain of n
 // buffers, one flit each, linked by the channels the worm holds: the
 // buffer behind chain buffer b is busyBy[upOut[b]]. In a cycle a chain
@@ -57,7 +57,9 @@ func (e *Engine) moveTrains() {
 // tail is {p, false, false}, so the shift rewrites only the front (it
 // takes the next flit), the buffer before the back (it takes the tail,
 // once the worm is fully injected) and the back (it empties). The walk
-// to the back counts each traversed link's flit while measuring.
+// to the back counts each traversed link's flit while links are counted,
+// and a collector's Occupancy takes the net of the per-flit path's n
+// single moves: one flit more at dest's router, one fewer at the back's.
 // linkUsed stays unwritten: each link has one holder, and a worm moves
 // at most once per cycle.
 func (e *Engine) moveTrain(front int32) {
@@ -67,10 +69,10 @@ func (e *Engine) moveTrain(front int32) {
 	out := fb.allocOut
 	n := p.flitsSent - p.flitsDelivered
 	injected := p.flitsSent == p.length
-	measuring := e.stats.measuring
+	count := e.countLinks
 	p.lastProgress = e.cycle
 	e.lastMove = e.cycle
-	if measuring {
+	if count {
 		e.linkFlits[e.physOf[out]]++
 	}
 	dest := e.outDest[out]
@@ -85,20 +87,23 @@ func (e *Engine) moveTrain(front int32) {
 		if !f.tail {
 			e.stall(front, out, dest)
 		}
+		if e.m != nil {
+			e.m.Occupancy[int(dest)/e.vport]++
+		}
 	} else {
 		p.flitsDelivered++
 		e.flitsDeliveredEver++
-		if measuring {
-			e.stats.flitsDelivered++
-		}
 	}
 	back, prev := front, int32(-1)
 	for k := 1; k < n; k++ {
 		up := e.upOut[back]
-		if measuring {
+		if count {
 			e.linkFlits[e.physOf[up]]++
 		}
 		prev, back = back, e.busyBy[up]
+	}
+	if e.m != nil {
+		e.m.Occupancy[int(back)/e.vport]--
 	}
 	if n > 1 {
 		fb.q[0] = flit{p: p}

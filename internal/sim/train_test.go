@@ -8,15 +8,17 @@ import (
 
 	"turnmodel/internal/core"
 	"turnmodel/internal/fault"
+	"turnmodel/internal/metrics"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
 	"turnmodel/internal/traffic"
 )
 
 // The train class has two move paths: moveTrains, and the per-flit path
-// it replaces, which an attached Observer selects. A no-op observer thus
-// runs the per-flit path on the same configuration, with no test hook;
-// these tests hold the train path to the per-flit path as the reference.
+// it replaces, which an attached Observer selects (a metrics collector
+// does not). A no-op observer thus runs the per-flit path on the same
+// configuration, with no test hook; these tests hold the train path to
+// the per-flit path as the reference.
 
 // trainTopology is one topology family of the random sweep, with the
 // built-in single-VC relations and traffic patterns that apply to it.
@@ -254,15 +256,164 @@ func TestTrainPathMatchesPerFlit(t *testing.T) {
 	}
 }
 
-// TestTrainPathLockstep steps one engine per move path and compares
-// their full state after every cycle, with measuring on from cycle zero.
-// Packets are compared by id, not pointer: the two paths deliver a
-// cycle's packets in different orders, so the freelist hands out
-// different structs.
-func TestTrainPathLockstep(t *testing.T) {
-	cases := []struct {
+// TestCollectorKeepsTrainPath: a metrics collector leaves a train-class
+// engine on the train path; only an Observer selects the per-flit path.
+func TestCollectorKeepsTrainPath(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	for _, c := range []struct {
+		name   string
+		obs    Observer
+		m      *metrics.Collector
+		trains bool
+	}{
+		{"plain", nil, nil, true},
+		{"collector", nil, metrics.New(metrics.Config{Interval: 100}), true},
+		{"observer", ObserverFuncs{}, nil, false},
+		{"observer-and-collector", ObserverFuncs{}, metrics.New(metrics.Config{}), false},
+	} {
+		e, err := New(Config{
+			Algorithm:     routing.NewWestFirst(topo),
+			Pattern:       traffic.NewMeshTranspose(topo),
+			OfferedLoad:   1.5,
+			WarmupCycles:  100,
+			MeasureCycles: 100,
+			Observer:      c.obs,
+			Metrics:       c.m,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.trains != c.trains {
+			t.Errorf("%s: trains = %v, want %v", c.name, e.trains, c.trains)
+		}
+	}
+}
+
+// TestTrainPathMetricsMatchPerFlit: with a collector attached to both
+// move paths (time series and exact latencies on), every 8th
+// configuration of TestTrainPathMatchesPerFlit's sweep, plus a fault
+// campaign with recovery, gives equal Results and byte-identical
+// manifest, Prometheus and heatmap dumps. Each path runs on its own
+// copy of the topology: the per-epoch latencies name the topology's
+// fault epochs, which keep counting from one run to the next.
+func TestTrainPathMetricsMatchPerFlit(t *testing.T) {
+	type namedConfigs struct {
 		name string
-		mk   func() Config
+		cfgs [2]Config // train, per-flit
+	}
+	var cases []namedConfigs
+	rngs := [2]*rand.Rand{rand.New(rand.NewSource(18)), rand.New(rand.NewSource(18))} // TestTrainPathMatchesPerFlit's sweep
+	for i := 0; i < 320; i++ {
+		var c namedConfigs
+		for k, rng := range rngs {
+			c.name, c.cfgs[k] = randomTrainConfig(t, i, rng)
+		}
+		if i%8 == 0 {
+			cases = append(cases, c)
+		}
+	}
+	c := namedConfigs{name: "fully-adaptive-recovery-faults"}
+	for k := range c.cfgs {
+		topo := topology.NewMesh(8, 8)
+		plan, err := fault.NewCampaign(topo, fault.Campaign{Seed: 3, Horizon: 3000, Rate: 4, MTTR: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.cfgs[k] = Config{
+			Algorithm:         routing.NewFullyAdaptive(topo),
+			Pattern:           traffic.NewUniform(topo),
+			OfferedLoad:       3.0,
+			WarmupCycles:      500,
+			MeasureCycles:     2500,
+			Seed:              3,
+			FaultPlan:         plan,
+			RecoveryThreshold: 128,
+		}
+	}
+	cases = append(cases, c)
+	recovered := false
+	for _, c := range cases {
+		var res [2]Result
+		var dump [2]string
+		for k, obs := range []Observer{nil, ObserverFuncs{}} {
+			cfg := c.cfgs[k]
+			cfg.Observer = obs
+			cfg.CheckInvariants = true
+			m := metrics.New(metrics.Config{Interval: 100, ExactLatencies: true})
+			cfg.Metrics = m
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.trains != (obs == nil) {
+				t.Fatalf("%s: observer %v: trains = %v", c.name, obs, e.trains)
+			}
+			res[k] = e.run()
+			if res[k].InvariantViolation != "" {
+				t.Fatalf("%s: observer %v: invariant violation: %s", c.name, obs, res[k].InvariantViolation)
+			}
+			var b strings.Builder
+			if err := m.WriteManifest(&b); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(m.Heatmap())
+			dump[k] = b.String()
+		}
+		type allFields Result
+		if got, want := fmt.Sprintf("%+v", allFields(res[0])), fmt.Sprintf("%+v", allFields(res[1])); got != want {
+			t.Errorf("%s:\ntrain    %s\nper-flit %s", c.name, got, want)
+		}
+		if dump[0] != dump[1] {
+			t.Errorf("%s: metrics dumps differ at %s", c.name, firstDiff(dump[0], dump[1]))
+		}
+		recovered = recovered || res[0].Recoveries > 0
+	}
+	if !recovered {
+		t.Fatal("no configuration recovered a worm; the recovery totals went unchecked")
+	}
+}
+
+// firstDiff returns the first differing line of two dumps.
+func firstDiff(a, b string) string {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if la[i] != lb[i] {
+			return fmt.Sprintf("line %d:\ntrain    %s\nper-flit %s", i+1, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf("the end: %d vs %d lines", len(la), len(lb))
+}
+
+// TestTrainPathLockstep steps one engine per move path and compares
+// their full state after every cycle, with the measurement window open
+// from cycle zero. Packets are compared by id, not pointer: the two
+// paths deliver a cycle's packets in different orders, so the freelist
+// hands out different structs. The collector case also compares the
+// collectors' occupancy gauges, their integrals and the channel counts
+// after every cycle.
+func TestTrainPathLockstep(t *testing.T) {
+	faultyAdaptive := func() Config {
+		topo := topology.NewMesh(8, 8)
+		plan, err := fault.NewCampaign(topo, fault.Campaign{Seed: 7, Horizon: 3000, Rate: 4, MTTR: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Config{
+			Algorithm:         routing.NewFullyAdaptive(topo),
+			Pattern:           traffic.NewUniform(topo),
+			OfferedLoad:       3.0,
+			Seed:              7,
+			FaultPlan:         plan,
+			RecoveryThreshold: 128,
+		}
+	}
+	cases := []struct {
+		name    string
+		mk      func() Config
+		collect bool
 	}{
 		{"saturated-transpose", func() Config {
 			topo := topology.NewMesh(16, 16)
@@ -272,7 +423,7 @@ func TestTrainPathLockstep(t *testing.T) {
 				OfferedLoad: 1.5,
 				Seed:        1,
 			}
-		}},
+		}, false},
 		{"pcube-6cube-short", func() Config {
 			topo := topology.NewHypercube(6)
 			return Config{
@@ -282,22 +433,9 @@ func TestTrainPathLockstep(t *testing.T) {
 				Lengths:     []int{1, 6},
 				Seed:        6,
 			}
-		}},
-		{"fully-adaptive-recovery-faults", func() Config {
-			topo := topology.NewMesh(8, 8)
-			plan, err := fault.NewCampaign(topo, fault.Campaign{Seed: 7, Horizon: 3000, Rate: 4, MTTR: 500})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return Config{
-				Algorithm:         routing.NewFullyAdaptive(topo),
-				Pattern:           traffic.NewUniform(topo),
-				OfferedLoad:       3.0,
-				Seed:              7,
-				FaultPlan:         plan,
-				RecoveryThreshold: 128,
-			}
-		}},
+		}, false},
+		{"fully-adaptive-recovery-faults", faultyAdaptive, false},
+		{"collector-fully-adaptive-recovery-faults", faultyAdaptive, true},
 		{"random-policies-misroute-torus", func() Config {
 			topo := topology.NewTorus(6, 2)
 			return Config{
@@ -310,7 +448,7 @@ func TestTrainPathLockstep(t *testing.T) {
 				RouterDelay:   1,
 				Seed:          5,
 			}
-		}},
+		}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -319,12 +457,15 @@ func TestTrainPathLockstep(t *testing.T) {
 				cfg := c.mk()
 				cfg.WarmupCycles, cfg.MeasureCycles = 1<<30, 1
 				cfg.Observer = obs
+				if c.collect {
+					cfg.Metrics = metrics.New(metrics.Config{Interval: 100})
+				}
 				e, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer e.restoreFaults()
-				e.stats.measuring = true
+				e.openWindow()
 				engines[i] = e
 			}
 			train, perFlit := engines[0], engines[1]
@@ -338,6 +479,11 @@ func TestTrainPathLockstep(t *testing.T) {
 				}
 				if diff := engineStateDiff(train, perFlit); diff != "" {
 					t.Fatalf("cycle %d: %s", cycle, diff)
+				}
+				if c.collect {
+					if diff := collectorDiff(train.m, perFlit.m); diff != "" {
+						t.Fatalf("cycle %d: %s", cycle, diff)
+					}
 				}
 			}
 			if err := train.CheckInvariants(); err != nil {
@@ -418,13 +564,31 @@ func engineStateDiff(a, b *Engine) string {
 		stats                                             runStats
 		recoveries, retries, drops                        int64
 	}
-	ca := counters{a.flitsInjectedEver, a.flitsDeliveredEver, a.flitsDrainedEver, a.lastMove, a.nextPktID,
+	ca := counters{a.flitsInjectedEver, a.flitsDeliveredEver, a.recov.flitsDrained, a.lastMove, a.nextPktID,
 		a.inFlight, a.stats, a.recov.recoveries, a.recov.retries, a.recov.drops}
-	cb := counters{b.flitsInjectedEver, b.flitsDeliveredEver, b.flitsDrainedEver, b.lastMove, b.nextPktID,
+	cb := counters{b.flitsInjectedEver, b.flitsDeliveredEver, b.recov.flitsDrained, b.lastMove, b.nextPktID,
 		b.inFlight, b.stats, b.recov.recoveries, b.recov.retries, b.recov.drops}
 	ca.stats.latencies, cb.stats.latencies = nil, nil
 	if ca != cb {
 		return fmt.Sprintf("counters %+v vs %+v", ca, cb)
+	}
+	return ""
+}
+
+// collectorDiff describes the first difference between two collectors'
+// per-router occupancy gauges and integrals and their per-channel flit
+// counts, or returns "".
+func collectorDiff(a, b *metrics.Collector) string {
+	for v := range a.Occupancy {
+		if a.Occupancy[v] != b.Occupancy[v] || a.OccIntegral[v] != b.OccIntegral[v] {
+			return fmt.Sprintf("router %d: occupancy %d, integral %d vs occupancy %d, integral %d",
+				v, a.Occupancy[v], a.OccIntegral[v], b.Occupancy[v], b.OccIntegral[v])
+		}
+	}
+	for i := range a.ChannelFlits {
+		if a.ChannelFlits[i] != b.ChannelFlits[i] {
+			return fmt.Sprintf("ChannelFlits[%d] = %d vs %d", i, a.ChannelFlits[i], b.ChannelFlits[i])
+		}
 	}
 	return ""
 }
