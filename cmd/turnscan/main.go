@@ -7,7 +7,7 @@
 // Usage:
 //
 //	turnscan [-mesh 8x8] [-screen-only] [-quick] [-seed N]
-//	         [-loads 0.5,1.0,...] [-patterns uniform,transpose]
+//	         [-loads lo:hi:step|0.5,1.0,...] [-patterns uniform,transpose]
 //	         [-workers N] [-log path] [-out path]
 //	         [-stop-after N]
 //
@@ -22,12 +22,15 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
+	"turnmodel/internal/cli"
 	"turnmodel/internal/exp"
 	"turnmodel/internal/explore"
 	"turnmodel/internal/topology"
@@ -42,7 +45,7 @@ func run() int {
 	screenOnly := flag.Bool("screen-only", false, "screen and self-check only; no simulations")
 	quick := flag.Bool("quick", false, "shorter simulations and coarser sweeps")
 	seed := flag.Int64("seed", 1, "random seed for the stochastic sweeps")
-	loads := flag.String("loads", "", "comma-separated offered loads in flits/us/node (default: the campaign sweep)")
+	loads := flag.String("loads", "", "offered loads: lo:hi:step or comma-separated list, flits/us/node (default: the campaign sweep)")
 	patterns := flag.String("patterns", "uniform,transpose", "comma-separated traffic patterns")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	logPath := flag.String("log", "results/turnscan.jsonl", "JSONL checkpoint log (appended on resume)")
@@ -51,6 +54,14 @@ func run() int {
 	quiet := flag.Bool("quiet", false, "suppress per-figure progress lines")
 	flag.Parse()
 
+	opts := exp.Options{Quick: *quick, Seed: *seed, Workers: *workers}
+	if *loads != "" {
+		var err error
+		if opts.Loads, err = cli.ParseLoads(*loads); err != nil {
+			fmt.Fprintln(os.Stderr, "turnscan:", err)
+			return 2
+		}
+	}
 	dims, err := parseMesh(*mesh)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "turnscan:", err)
@@ -70,17 +81,6 @@ func run() int {
 		return 0
 	}
 
-	opts := exp.Options{Quick: *quick, Seed: *seed, Workers: *workers}
-	if *loads != "" {
-		for _, part := range strings.Split(*loads, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "turnscan: bad load %q: %v\n", part, err)
-				return 1
-			}
-			opts.Loads = append(opts.Loads, v)
-		}
-	}
 	c := &explore.Campaign{
 		Screen:    s,
 		Patterns:  splitList(*patterns),
@@ -93,7 +93,7 @@ func run() int {
 		c.Verbose = os.Stderr
 	}
 	if err := c.Run(); err != nil {
-		if err == exp.ErrCanceled && *stopAfter > 0 {
+		if errors.Is(err, context.Canceled) && *stopAfter > 0 {
 			fmt.Printf("stopped after %d figures; rerun to resume from %s\n", *stopAfter, *logPath)
 			return 0
 		}

@@ -1,6 +1,6 @@
 // Package cli parses the shared command-line vocabulary of the cmd/
-// tools: topology specs, algorithm names, traffic patterns and load
-// ranges.
+// tools: topology specs, algorithm names, traffic patterns, load ranges
+// and the simulation figure the three names describe together.
 package cli
 
 import (
@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"turnmodel/internal/exp"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/sim"
 	"turnmodel/internal/topology"
@@ -181,6 +182,46 @@ func ParseLoads(s string) ([]float64, error) {
 		loads = append(loads, v)
 	}
 	return loads, nil
+}
+
+// Figure builds the simulation figure that a topology spec, a
+// comma-separated algorithm list and a traffic pattern name describe:
+// one line per algorithm, in list order, over the mesh figures' load
+// grid. Every name is resolved here, so an unknown one fails before any
+// simulation runs. The ID names all three, e.g.
+// "mesh8x8-transpose-xy+west-first".
+func Figure(topo, algs, pattern string) (exp.FigureSpec, error) {
+	t, err := ParseTopology(topo)
+	if err != nil {
+		return exp.FigureSpec{}, err
+	}
+	pat, err := ParseTraffic(t, pattern)
+	if err != nil {
+		return exp.FigureSpec{}, err
+	}
+	names := strings.Split(algs, ",")
+	for i, name := range names {
+		names[i] = strings.TrimSpace(name)
+		if _, err := ParseAlgorithm(t, names[i]); err != nil {
+			return exp.FigureSpec{}, err
+		}
+	}
+	// The spec's constructors resolve the names checked above again, on
+	// topologies built from the same spec, so they cannot fail.
+	return exp.FigureSpec{
+		ID:       fmt.Sprintf("%s-%s-%s", topo, pattern, strings.Join(names, "+")),
+		Title:    fmt.Sprintf("%s traffic on the %v", pat.Name(), t),
+		Topology: func() *topology.Topology { t, _ := ParseTopology(topo); return t },
+		Pattern:  func(t *topology.Topology) traffic.Pattern { p, _ := ParseTraffic(t, pattern); return p },
+		Algs: func(t *topology.Topology) []routing.Algorithm {
+			out := make([]routing.Algorithm, len(names))
+			for i, name := range names {
+				out[i] = mustAlgorithm(t, name)
+			}
+			return out
+		},
+		Loads: exp.MeshLoads,
+	}, nil
 }
 
 // ParsePolicy resolves an output selection policy name.

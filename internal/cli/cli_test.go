@@ -143,3 +143,57 @@ func TestAlgorithmNamesAllParse(t *testing.T) {
 		}
 	}
 }
+
+// TestFigure: the figure the -topo, -alg and -traffic strings describe
+// has an ID that tells figures apart, one line per algorithm in -alg
+// order, and no unknown name gets past it.
+func TestFigure(t *testing.T) {
+	f, err := Figure("mesh8x8", "west-first, xy", "transpose")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.ID != "mesh8x8-transpose-west-first+xy" {
+		t.Errorf("ID %q, want mesh8x8-transpose-west-first+xy", f.ID)
+	}
+	topo := f.Topology()
+	if topo.String() != "8x8 mesh" || f.Pattern(topo).Name() != "matrix-transpose" {
+		t.Errorf("figure simulates %s traffic on the %v", f.Pattern(topo).Name(), topo)
+	}
+	var lines []string
+	for _, a := range f.Algs(topo) {
+		lines = append(lines, a.Name())
+	}
+	wf, _ := ParseAlgorithm(topo, "west-first")
+	xy, _ := ParseAlgorithm(topo, "xy")
+	if want := []string{wf.Name(), xy.Name()}; strings.Join(lines, ",") != strings.Join(want, ",") {
+		t.Errorf("lines %v, want %v in -alg order", lines, want)
+	}
+
+	ids := map[string]string{f.ID: "base"}
+	for _, c := range []struct{ what, topo, algs, pattern string }{
+		{"topology", "mesh16x16", "west-first,xy", "transpose"},
+		{"algorithm order", "mesh8x8", "xy,west-first", "transpose"},
+		{"algorithm list", "mesh8x8", "west-first", "transpose"},
+		{"traffic", "mesh8x8", "west-first,xy", "uniform"},
+	} {
+		g, err := Figure(c.topo, c.algs, c.pattern)
+		if err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if prev, dup := ids[g.ID]; dup {
+			t.Errorf("changing the %s keeps the ID %q of %s", c.what, g.ID, prev)
+		}
+		ids[g.ID] = c.what
+	}
+
+	for _, bad := range [][3]string{
+		{"grid8x8", "xy", "uniform"},
+		{"mesh8x8", "xy,zigzag", "uniform"},
+		{"mesh8x8", "xy", "psychic"},
+		{"mesh8x8x4", "west-first", "uniform"},
+	} {
+		if _, err := Figure(bad[0], bad[1], bad[2]); err == nil {
+			t.Errorf("Figure(%q, %q, %q) should fail", bad[0], bad[1], bad[2])
+		}
+	}
+}

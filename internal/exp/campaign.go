@@ -11,7 +11,7 @@ import "sync"
 // immediately (still through onDone), so a caller that checkpoints
 // completed figures can resume an interrupted batch and see every
 // figure exactly once. Figures that fail (including cancellation via
-// Options.Cancel) do not reach onDone; the first error is returned
+// Options.Context) do not reach onDone; the first error is returned
 // after the whole batch has drained.
 //
 // onDone is called with the pool's slots still busy on other figures,

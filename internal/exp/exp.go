@@ -5,16 +5,14 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"reflect"
 	"runtime"
 	"sort"
 	"sync"
-
-	"time"
 
 	"turnmodel/internal/metrics"
 	"turnmodel/internal/routing"
@@ -47,11 +45,6 @@ type Options struct {
 	// (<dir>/<id>.metrics.json) next to each figure run. Attaching
 	// collectors never changes results.
 	MetricsDir string
-	// MetricsInterval is the collectors' time-series sampling cadence
-	// in cycles (0 picks a default). Setting it without MetricsDir
-	// attaches collectors and exposes summaries on SweepPoint.Metrics
-	// without writing files.
-	MetricsInterval int64
 	// Progress, when non-nil, receives progress/ETA lines as sweep
 	// simulations complete (typically os.Stderr for long runs).
 	Progress io.Writer
@@ -63,18 +56,12 @@ type Options struct {
 	// use; it is never called for cached sweeps (a cache hit runs no
 	// leaves).
 	OnProgress func(ProgressEvent)
-	// Cancel, when non-nil, aborts the run when closed: leaves not yet
-	// started are skipped, in-flight simulations stop at their next
-	// cancellation poll (sim.Config.Stop), and the entry points return
-	// ErrCanceled. A canceled run is never cached.
-	Cancel <-chan struct{}
-	// Deadline, when non-zero, aborts the run once the wall clock
-	// passes it, through the same cooperative path as Cancel: leaves
-	// not yet started are skipped, in-flight simulations stop at their
-	// next cancellation poll, and the entry points return
-	// ErrDeadlineExceeded. Like Cancel, an expired run is never cached.
-	// The turnserver derives it from its per-job timeout.
-	Deadline time.Time
+	// Context, when non-nil, stops the run once it is done (canceled or
+	// past its deadline): leaves not yet started are skipped, in-flight
+	// simulations stop at their next poll (sim.Config.Stop), and the
+	// entry points return the context's error. A stopped run is never
+	// cached.
+	Context context.Context
 }
 
 // ProgressEvent reports one completed leaf simulation to
@@ -84,32 +71,6 @@ type ProgressEvent struct {
 	Label string `json:"label"`
 	Done  int    `json:"done"`
 	Total int    `json:"total"`
-}
-
-// ErrCanceled is returned by the sweep entry points when
-// Options.Cancel fired before the run completed.
-var ErrCanceled = errors.New("exp: run canceled")
-
-// ErrDeadlineExceeded is returned by the sweep entry points when
-// Options.Deadline passed before the run completed.
-var ErrDeadlineExceeded = errors.New("exp: run deadline exceeded")
-
-// expired reports whether Options.Deadline has passed.
-func (o Options) expired() bool {
-	return !o.Deadline.IsZero() && !time.Now().Before(o.Deadline)
-}
-
-// canceled reports whether Options.Cancel has fired.
-func (o Options) canceled() bool {
-	if o.Cancel == nil {
-		return false
-	}
-	select {
-	case <-o.Cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 func (o Options) workers() int {
@@ -247,15 +208,6 @@ func (s Sweep) MaxSustainable() (thr, load float64) {
 	return thr, load
 }
 
-// RunSweep measures one latency-throughput curve. The load points are
-// independent simulations and run in parallel, bounded by
-// Options.Workers; results are deterministic regardless (each point has
-// its own seeded generator).
-func RunSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Options) (Sweep, error) {
-	prog := newProgress(o, alg.Name(), len(loads))
-	return runSweep(alg, pat, loads, o, make(chan struct{}, o.workers()), prog)
-}
-
 // runSweep measures one curve with concurrency bounded by sem. The
 // semaphore is acquired only around each leaf simulation — never by a
 // goroutine that waits on other goroutines — so a single semaphore can
@@ -263,6 +215,11 @@ func RunSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Opt
 // deadlock.
 func runSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Options, sem chan struct{}, prog *progress) (Sweep, error) {
 	s := Sweep{Algorithm: alg.Name(), Points: make([]SweepPoint, len(loads))}
+	ctx := o.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	stop := func() bool { return ctx.Err() != nil }
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -272,17 +229,13 @@ func runSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Opt
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if o.canceled() || o.expired() {
+			if err := ctx.Err(); err != nil {
 				// Leaves not yet started are skipped outright; the slot
 				// frees immediately for whoever shares the semaphore.
 				mu.Lock()
 				defer mu.Unlock()
 				if firstErr == nil {
-					if o.expired() {
-						firstErr = ErrDeadlineExceeded
-					} else {
-						firstErr = ErrCanceled
-					}
+					firstErr = err
 				}
 				return
 			}
@@ -293,28 +246,21 @@ func runSweep(alg routing.Algorithm, pat traffic.Pattern, loads []float64, o Opt
 				WarmupCycles:  o.warmup(),
 				MeasureCycles: o.measure(),
 				Seed:          o.Seed + int64(load*1000),
-			}
-			if o.Cancel != nil || !o.Deadline.IsZero() {
-				cfg.Stop = func() bool { return o.canceled() || o.expired() }
+				Stop:          stop,
 			}
 			// One collector per simulation: collectors are not safe to
 			// share across concurrent runs, and attaching them never
 			// changes results.
 			var m *metrics.Collector
-			if o.metricsEnabled() {
-				m = metrics.New(metrics.Config{Interval: o.metricsInterval()})
+			if o.MetricsDir != "" {
+				m = metrics.New(metrics.Config{Interval: metricsInterval})
 				cfg.Metrics = m
 			}
 			r, err := sim.Run(cfg)
 			if err == nil && r.Stopped {
-				// An in-flight simulation aborted by cancellation or an
-				// expired deadline: its partial measurements must never
-				// land in the cache.
-				if o.expired() {
-					err = ErrDeadlineExceeded
-				} else {
-					err = ErrCanceled
-				}
+				// An in-flight simulation stopped by the context: its
+				// partial measurements must never land in the cache.
+				err = ctx.Err()
 			} else {
 				prog.tick()
 			}
@@ -344,9 +290,9 @@ type FigureSpec struct {
 	Loads     []float64
 }
 
-// meshLoads and cubeLoads are the full sweep ranges, in flits/us/node,
+// MeshLoads and cubeLoads are the full sweep ranges, in flits/us/node,
 // bracketing every algorithm's saturation point.
-var meshLoads = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0}
+var MeshLoads = []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0}
 var cubeLoads = []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0, 7.0, 8.0, 10.0, 12.0}
 
 func meshAlgs(t *topology.Topology) []routing.Algorithm {
@@ -374,13 +320,13 @@ var Figures = []FigureSpec{
 		ID: "fig13", Title: "Figure 13: uniform traffic in a 16x16 mesh",
 		Topology: func() *topology.Topology { return topology.NewMesh(16, 16) },
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewUniform(t) },
-		Algs:     meshAlgs, Loads: meshLoads,
+		Algs:     meshAlgs, Loads: MeshLoads,
 	},
 	{
 		ID: "fig14", Title: "Figure 14: matrix-transpose traffic in a 16x16 mesh",
 		Topology: func() *topology.Topology { return topology.NewMesh(16, 16) },
 		Pattern:  func(t *topology.Topology) traffic.Pattern { return traffic.NewMeshTranspose(t) },
-		Algs:     meshAlgs, Loads: meshLoads,
+		Algs:     meshAlgs, Loads: MeshLoads,
 	},
 	{
 		ID: "fig15", Title: "Figure 15: matrix-transpose traffic in an 8-cube",
@@ -454,18 +400,16 @@ var cacheNeutralOptionFields = map[string]string{
 	"Workers":    "results are bit-identical for any worker count",
 	"Progress":   "stderr progress lines never affect results",
 	"OnProgress": "structured progress callbacks never affect results",
-	"Cancel":     "canceled runs return ErrCanceled and are never cached",
-	"Deadline":   "expired runs return ErrDeadlineExceeded and are never cached",
+	"Context":    "stopped runs return the context's error and are never cached",
 }
 
 // cacheKey canonically serializes the figure identity plus every
 // result-affecting option into the sweep cache's key. Fields marshal
 // as a JSON object with sorted keys, so the key is canonical; neutral
-// fields (cacheNeutralOptionFields) are skipped. The metrics
-// parameters ARE present: cached sweeps run without collectors carry
+// fields (cacheNeutralOptionFields) are skipped. MetricsDir IS present,
+// as its enabled-ness only: cached sweeps run without collectors carry
 // no summaries, so a metrics-enabled request must not reuse them (and
-// vice versa) — though for MetricsDir only the enabled-ness is keyed,
-// not the path dumps land at.
+// vice versa), but the path dumps land at changes no result.
 func cacheKey(f FigureSpec, o Options) string {
 	fields := map[string]any{"figure": f.ID}
 	v := reflect.ValueOf(o)
@@ -515,7 +459,7 @@ func RunFigure(f FigureSpec, o Options) ([]Sweep, error) {
 		sweepMu.Unlock()
 	}
 	if o.MetricsDir != "" {
-		if err := WriteSweepMetrics(o.MetricsDir, f.ID, o, s); err != nil {
+		if err := writeSweepMetrics(o.MetricsDir, f.ID, s); err != nil {
 			return nil, err
 		}
 	}
@@ -628,20 +572,25 @@ func splitLines(s string) []string {
 	return out
 }
 
+// FigureExperiment is the experiment that runs (or takes from the
+// cache) and renders the simulation figure f.
+func FigureExperiment(f FigureSpec) Experiment {
+	return Experiment{
+		ID:    f.ID,
+		Title: f.Title,
+		Run: func(o Options, w io.Writer) error {
+			sweeps, err := RunFigure(f, o)
+			if err != nil {
+				return err
+			}
+			WriteFigure(w, f, sweeps)
+			return nil
+		},
+	}
+}
+
 func init() {
-	for i := range Figures {
-		f := Figures[i]
-		register(Experiment{
-			ID:    f.ID,
-			Title: f.Title,
-			Run: func(o Options, w io.Writer) error {
-				sweeps, err := RunFigure(f, o)
-				if err != nil {
-					return err
-				}
-				WriteFigure(w, f, sweeps)
-				return nil
-			},
-		})
+	for _, f := range Figures {
+		register(FigureExperiment(f))
 	}
 }

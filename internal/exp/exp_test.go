@@ -113,7 +113,7 @@ func TestRunSweepAndCache(t *testing.T) {
 	topo := topology.NewMesh(8, 8)
 	alg := routing.NewWestFirst(topo)
 	opts := Options{Seed: 2, Warmup: 500, Measure: 2000}
-	sw, err := RunSweep(alg, traffic.NewUniform(topo), []float64{0.5, 1.5}, opts)
+	sw, err := runSweep(alg, traffic.NewUniform(topo), []float64{0.5, 1.5}, opts, make(chan struct{}, opts.workers()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden experiment outputs")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden experiment outputs in results/")
 
 // goldenIDs lists the experiments whose output is fully deterministic
 // (model-level computations and fixed scripted scenarios), pinned
@@ -20,8 +20,8 @@ var goldenIDs = []string{
 }
 
 // TestGoldenOutputs compares each deterministic experiment's output to
-// its checked-in golden file. Run with -update-golden after an
-// intentional change.
+// its checked-in results/<id>.txt, the file `experiments -seed 1 -out
+// results` writes. Run with -update-golden after an intentional change.
 func TestGoldenOutputs(t *testing.T) {
 	for _, id := range goldenIDs {
 		id := id
@@ -34,11 +34,8 @@ func TestGoldenOutputs(t *testing.T) {
 			if err := e.Run(Options{Seed: 1}, &buf); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "golden", id+".txt")
+			path := filepath.Join("..", "..", "results", id+".txt")
 			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -12,19 +12,10 @@ import (
 	"turnmodel/internal/metrics"
 )
 
-// metricsInterval is the time-series sampling cadence for experiment
-// collectors, honoring the Options override.
-func (o Options) metricsInterval() int64 {
-	if o.MetricsInterval > 0 {
-		return o.MetricsInterval
-	}
-	return 1000
-}
-
-// metricsEnabled reports whether sweeps should attach collectors.
-func (o Options) metricsEnabled() bool {
-	return o.MetricsDir != "" || o.MetricsInterval > 0
-}
+// metricsInterval is the experiment collectors' time-series sampling
+// cadence in cycles. No exp output reads the series itself; the cadence
+// shows only as each summary's sample count and the dump's echo.
+const metricsInterval = 1000
 
 // progress reports completed simulations, for long sweeps run
 // interactively (throttled ETA lines on Options.Progress) or embedded
@@ -86,7 +77,7 @@ func (p *progress) tick() {
 // SweepMetrics is the machine-readable per-figure metric dump: one
 // summary block per (algorithm, offered load) simulation.
 type SweepMetrics struct {
-	// ID names the figure or sweep the dump belongs to.
+	// ID names the figure the dump belongs to.
 	ID string `json:"id"`
 	// SampleIntervalCycles echoes the collectors' sampling cadence.
 	SampleIntervalCycles int64 `json:"sample_interval_cycles"`
@@ -112,8 +103,8 @@ type PointMetrics struct {
 
 // buildSweepMetrics assembles the dump from sweeps whose points carry
 // collector summaries; points without metrics are skipped.
-func buildSweepMetrics(id string, o Options, sweeps []Sweep) SweepMetrics {
-	out := SweepMetrics{ID: id, SampleIntervalCycles: o.metricsInterval()}
+func buildSweepMetrics(id string, sweeps []Sweep) SweepMetrics {
+	out := SweepMetrics{ID: id, SampleIntervalCycles: metricsInterval}
 	for _, s := range sweeps {
 		sm := SeriesMetrics{Algorithm: s.Algorithm}
 		for _, p := range s.Points {
@@ -127,9 +118,9 @@ func buildSweepMetrics(id string, o Options, sweeps []Sweep) SweepMetrics {
 	return out
 }
 
-// WriteSweepMetrics writes the per-figure metric dump as
+// writeSweepMetrics writes the per-figure metric dump as
 // <dir>/<id>.metrics.json, creating dir if needed.
-func WriteSweepMetrics(dir, id string, o Options, sweeps []Sweep) error {
+func writeSweepMetrics(dir, id string, sweeps []Sweep) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -139,7 +130,7 @@ func WriteSweepMetrics(dir, id string, o Options, sweeps []Sweep) error {
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(buildSweepMetrics(id, o, sweeps)); err != nil {
+	if err := enc.Encode(buildSweepMetrics(id, sweeps)); err != nil {
 		f.Close()
 		return err
 	}

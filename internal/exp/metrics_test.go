@@ -26,13 +26,14 @@ func TestSweepMetricsCollection(t *testing.T) {
 	loads := []float64{0.5, 1.0}
 	base := Options{Seed: 5, Warmup: 500, Measure: 2000}
 
-	plain, err := RunSweep(alg, pat, loads, base)
+	plain, err := runSweep(alg, pat, loads, base, make(chan struct{}, base.workers()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	withM := base
-	withM.MetricsInterval = 500
-	metered, err := RunSweep(alg, pat, loads, withM)
+	withM.MetricsDir = dir
+	metered, err := runSweep(alg, pat, loads, withM, make(chan struct{}, withM.workers()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +53,7 @@ func TestSweepMetricsCollection(t *testing.T) {
 		}
 	}
 
-	dir := t.TempDir()
-	if err := WriteSweepMetrics(dir, "testsweep", withM, []Sweep{metered}); err != nil {
+	if err := writeSweepMetrics(dir, "testsweep", []Sweep{metered}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "testsweep.metrics.json"))
@@ -67,8 +67,8 @@ func TestSweepMetricsCollection(t *testing.T) {
 	if dump.ID != "testsweep" || len(dump.Series) != 1 || len(dump.Series[0].Points) != len(loads) {
 		t.Errorf("dump shape wrong: %+v", dump)
 	}
-	if dump.SampleIntervalCycles != 500 {
-		t.Errorf("dump interval = %d, want 500", dump.SampleIntervalCycles)
+	if dump.SampleIntervalCycles != metricsInterval {
+		t.Errorf("dump interval = %d, want %d", dump.SampleIntervalCycles, metricsInterval)
 	}
 	for _, s := range dump.Series {
 		for _, p := range s.Points {
@@ -105,7 +105,7 @@ func TestFigureMetricsCacheSplit(t *testing.T) {
 	f := Figures[0]
 	plain := Options{Quick: true, Seed: 9, Loads: []float64{0.5}, Warmup: 200, Measure: 500}
 	metered := plain
-	metered.MetricsInterval = 250
+	metered.MetricsDir = "metrics"
 	if cacheKey(f, plain) == cacheKey(f, metered) {
 		t.Error("metrics-enabled and metrics-free runs share a cache key")
 	}

@@ -1,6 +1,12 @@
 package exp
 
-import "turnmodel/internal/sim"
+import (
+	"fmt"
+	"io"
+	"slices"
+
+	"turnmodel/internal/sim"
+)
 
 // Saturation is the result of a bisection search for the sustainability
 // boundary — a sharper estimate of the paper's "maximum sustainable
@@ -55,4 +61,23 @@ func FindSaturation(base sim.Config, lo, hi float64, iters int, o Options) (Satu
 		}
 	}
 	return best, nil
+}
+
+// WriteFigureSaturation bisects every line of figure f for its
+// sustainable edge, 8 rounds between the lowest and the highest of the
+// figure's effective loads, and writes one line per algorithm. It runs
+// the lines one after another and reports no progress.
+func WriteFigureSaturation(w io.Writer, f FigureSpec, o Options) error {
+	t := SharedTopology(f.Topology)
+	pat := f.Pattern(t)
+	loads := o.loads(f.Loads)
+	for _, alg := range SharedAlgorithms(t, f.Algs(t)) {
+		sat, err := FindSaturation(sim.Config{Algorithm: alg, Pattern: pat}, slices.Min(loads), slices.Max(loads), 8, o)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "# %s on %v, %s traffic: sustainable edge at offered %.3f flits/us/node, throughput %.1f flits/us, latency %.2f us\n",
+			alg.Name(), t, pat.Name(), sat.Load, sat.Throughput, sat.Result.AvgLatency)
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/big"
@@ -8,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"turnmodel/internal/adapt"
 	"turnmodel/internal/core"
@@ -193,8 +193,9 @@ func record(key string, f exp.FigureSpec, sweeps []exp.Sweep) Record {
 
 // Run executes the campaign: self-check, resume from the log, sweep
 // the missing figures, and (when every figure has a record) render the
-// leaderboard. A run canceled by Opts.Cancel or StopAfter returns
-// exp.ErrCanceled after checkpointing everything that completed.
+// leaderboard. A run stopped by Opts.Context or StopAfter returns the
+// context's error (context.Canceled for StopAfter) after checkpointing
+// everything that completed.
 func (c *Campaign) Run() error {
 	if err := c.Screen.SelfCheck(); err != nil {
 		return err
@@ -224,13 +225,13 @@ func (c *Campaign) Run() error {
 			return err
 		}
 		defer ckpt.Close() // error paths; the success path checks Close below
-		stop := make(chan struct{})
-		var stopOnce sync.Once
-		halt := func() { stopOnce.Do(func() { close(stop) }) }
-		// Halting on return also ends mergeCancel's goroutine, which an
-		// Opts.Cancel that never closes would otherwise leak.
-		defer halt()
-		o.Cancel = mergeCancel(c.Opts.Cancel, stop)
+		parent := o.Context
+		if parent == nil {
+			parent = context.Background()
+		}
+		var cancel context.CancelFunc
+		o.Context, cancel = context.WithCancel(parent)
+		defer cancel()
 		completed := 0
 		var writeErr error
 		runErr := exp.RunFigureSet(todo, o, func(f exp.FigureSpec, sweeps []exp.Sweep) {
@@ -242,7 +243,7 @@ func (c *Campaign) Run() error {
 				// A figure that cannot be checkpointed would be lost to the
 				// next resume: stop the campaign and report it.
 				writeErr = fmt.Errorf("explore: checkpoint write failed: %w", err)
-				halt()
+				cancel()
 			}
 			done[r.CacheKey] = r
 			completed++
@@ -250,7 +251,7 @@ func (c *Campaign) Run() error {
 				fmt.Fprintf(c.Verbose, "turnscan: %s done (%d/%d)\n", f.ID, len(specs)-len(todo)+completed, len(specs))
 			}
 			if c.StopAfter > 0 && completed >= c.StopAfter {
-				halt()
+				cancel()
 			}
 		})
 		if err := ckpt.Close(); err != nil && writeErr == nil {
@@ -286,22 +287,6 @@ func (c *Campaign) options() exp.Options {
 		o.Loads = CampaignLoads
 	}
 	return o
-}
-
-// mergeCancel returns a channel closed when either input closes.
-func mergeCancel(a, b <-chan struct{}) <-chan struct{} {
-	if a == nil {
-		return b
-	}
-	out := make(chan struct{})
-	go func() {
-		select {
-		case <-a:
-		case <-b:
-		}
-		close(out)
-	}()
-	return out
 }
 
 // adaptivity computes the deterministic adaptivity-degree column: the

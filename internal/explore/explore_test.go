@@ -2,6 +2,8 @@ package explore
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math/big"
 	"os"
 	"path/filepath"
@@ -136,8 +138,8 @@ func TestCampaignResume(t *testing.T) {
 	killed := campaignFor(t, s, dir, "resumed")
 	killed.StopAfter = 3
 	killed.Opts.Workers = 1
-	if err := runKilled(t, killed); err != exp.ErrCanceled {
-		t.Fatalf("killed run returned %v, want exp.ErrCanceled", err)
+	if err := runKilled(t, killed); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run returned %v, want context.Canceled", err)
 	}
 	logged, err := loadLog(killed.LogPath)
 	if err != nil {
@@ -183,12 +185,14 @@ func TestCampaignResume(t *testing.T) {
 }
 
 // TestCampaignRunLeavesNoGoroutine: a campaign run with a caller's
-// Opts.Cancel that never closes leaves no goroutine behind once Run
-// returns; the goroutine merging that channel with the campaign's own
-// stop channel must end.
+// Opts.Context that is never canceled leaves no goroutine behind once
+// Run returns; the campaign's own stop, derived from that context, must
+// not outlive the run.
 func TestCampaignRunLeavesNoGoroutine(t *testing.T) {
 	c := campaignFor(t, Screen(topology.NewMesh(4, 4)), t.TempDir(), "leak")
-	c.Opts.Cancel = make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.Opts.Context = ctx
 	before := runtime.NumGoroutine()
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -237,8 +241,8 @@ func TestCampaignTornTailThenAppend(t *testing.T) {
 	killed.Opts.Seed = 11
 	killed.StopAfter = 1
 	killed.Opts.Workers = 1
-	if err := runKilled(t, killed); err != exp.ErrCanceled {
-		t.Fatalf("killed run returned %v, want exp.ErrCanceled", err)
+	if err := runKilled(t, killed); !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run returned %v, want context.Canceled", err)
 	}
 	f, err := os.OpenFile(killed.LogPath, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {

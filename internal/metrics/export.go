@@ -36,7 +36,8 @@ type Manifest struct {
 // EpochLatencyMetrics summarizes delivered-packet latency within one
 // fault epoch.
 type EpochLatencyMetrics struct {
-	// Epoch is the topology fault-epoch number.
+	// Epoch numbers the fault sets of the run: 0 is the one it began
+	// with, and each fault-set change adds one.
 	Epoch int `json:"epoch"`
 	// Count, MeanCycles and MaxCycles summarize the epoch's deliveries.
 	Count      int64   `json:"count"`

@@ -106,8 +106,11 @@ type Collector struct {
 	samples    []Sample
 	lastDel    int64
 	latencies  *stats.Histogram
-	epochLats  []stats.Accumulator
-	exact      []float64
+	// epoch0 is the topology's fault epoch at Bind, where the run's
+	// epoch numbering starts.
+	epoch0    int
+	epochLats []stats.Accumulator
+	exact     []float64
 }
 
 // New returns an unbound Collector; the engine binds it to a topology
@@ -136,6 +139,7 @@ func (m *Collector) Bind(t *topology.Topology, nphys int) {
 	m.Retries = 0
 	m.PacketsDropped = 0
 	m.DrainedFlits = 0
+	m.epoch0 = t.FaultEpoch()
 	m.epochLats = m.epochLats[:0]
 	m.cycles = 0
 	m.nextSample = m.cfg.Interval
@@ -197,10 +201,11 @@ func (m *Collector) RecordLatency(cycles float64) {
 
 // RecordEpochLatency attributes one delivered packet's latency to the
 // fault epoch the delivery happened in, so fault campaigns can compare
-// latency across fault-set changes. Epochs are small dense integers
-// (the topology's fault epoch counter); the accumulator slice grows to
-// the highest epoch seen.
+// latency across fault-set changes. epoch is the topology's fault epoch
+// counter; the collector numbers it from the epoch at Bind, and the
+// accumulator slice grows to the highest run epoch seen.
 func (m *Collector) RecordEpochLatency(epoch int, cycles float64) {
+	epoch -= m.epoch0
 	if epoch < 0 {
 		return
 	}
@@ -294,9 +299,10 @@ type Summary struct {
 	Retries        int64 `json:"retries,omitempty"`
 	PacketsDropped int64 `json:"packets_dropped,omitempty"`
 	DrainedFlits   int64 `json:"drained_flits,omitempty"`
-	// FaultEpochs is the highest fault epoch that recorded a delivery
-	// via RecordEpochLatency, plus one (0 when per-epoch attribution
-	// never ran).
+	// FaultEpochs is the highest fault epoch of the run that recorded a
+	// delivery via RecordEpochLatency, plus one (0 when per-epoch
+	// attribution never ran). Epoch 0 is the fault set the run began
+	// with.
 	FaultEpochs int `json:"fault_epochs,omitempty"`
 }
 

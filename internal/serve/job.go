@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -165,15 +166,16 @@ type Job struct {
 	// Req echoes the submitted request.
 	Req JobRequest
 
-	mu      sync.Mutex
-	notify  chan struct{} // closed + replaced on every append
-	state   JobState
-	events  []Event
-	result  []byte // exp.WriteFigureJSON bytes, set when state == done
-	errMsg  string
-	stack   string // panic stack, set when state == poisoned
-	cancel  chan struct{}
-	stopped bool // cancel already closed
+	mu     sync.Mutex
+	notify chan struct{} // closed + replaced on every append
+	state  JobState
+	events []Event
+	result []byte // exp.WriteFigureJSON bytes, set when state == done
+	errMsg string
+	stack  string // panic stack, set when state == poisoned
+	// ctx stops the job's run once cancel is called.
+	ctx    context.Context
+	cancel context.CancelFunc
 	// cacheHit records that the run completed without running a single
 	// leaf simulation: every sweep came from the exp cache.
 	cacheHit bool
@@ -206,9 +208,9 @@ func newJob(req JobRequest, key string) *Job {
 		Req:       req,
 		state:     StateQueued,
 		notify:    make(chan struct{}),
-		cancel:    make(chan struct{}),
 		submitted: time.Now(),
 	}
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.events = append(j.events, Event{Type: string(StateQueued)})
 	return j
 }
@@ -221,11 +223,11 @@ func restoredJob(id string, st *replayState) *Job {
 		Key:       st.Key,
 		Req:       st.Req,
 		notify:    make(chan struct{}),
-		cancel:    make(chan struct{}),
 		submitted: st.Submitted,
 		replayed:  true,
 		attempt:   st.Attempts,
 	}
+	j.ctx, j.cancel = context.WithCancel(context.Background())
 	j.events = append(j.events, Event{Type: string(StateQueued), Replayed: true, Attempt: st.Attempts})
 	switch {
 	case st.State == StateDone:

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -312,10 +313,7 @@ func (s *Store) Cancel(id string) bool {
 		j.mu.Unlock()
 		return true
 	}
-	if !j.stopped {
-		j.stopped = true
-		close(j.cancel)
-	}
+	j.cancel()
 	wasQueued := j.state == StateQueued
 	if wasQueued {
 		j.state = StateCanceled
@@ -437,6 +435,7 @@ func (s *Store) run(j *Job) {
 	s.journal.Append(journalEntry{Type: "start", ID: j.ID, Attempt: attempt})
 	s.running.Add(1)
 	defer s.running.Add(-1)
+	defer j.cancel() // a job object runs at most once: release its context
 
 	f, err := j.Req.validate() // re-resolve the figure spec
 	if err != nil {
@@ -445,13 +444,15 @@ func (s *Store) run(j *Job) {
 	}
 	o := j.Req.options()
 	o.Workers = s.perJob
-	o.Cancel = j.cancel
+	o.Context = j.ctx
 	timeout := s.cfg.JobTimeout
 	if r := time.Duration(j.Req.TimeoutSeconds * float64(time.Second)); r > 0 && (timeout == 0 || r < timeout) {
 		timeout = r
 	}
 	if timeout > 0 {
-		o.Deadline = time.Now().Add(timeout)
+		var cancel context.CancelFunc
+		o.Context, cancel = context.WithTimeout(j.ctx, timeout)
+		defer cancel()
 	}
 	o.OnProgress = func(ev exp.ProgressEvent) {
 		s.leavesRun.Add(1)
@@ -465,10 +466,10 @@ func (s *Store) run(j *Job) {
 	switch {
 	case errors.Is(err, errPanicked):
 		// Quarantined and journaled already; the worker lives on.
-	case errors.Is(err, exp.ErrDeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Add(1)
 		s.terminalize(j, StateTimeout, fmt.Sprintf("deadline exceeded after %v", timeout), "")
-	case errors.Is(err, exp.ErrCanceled):
+	case errors.Is(err, context.Canceled):
 		s.canceled.Add(1)
 		s.terminalize(j, StateCanceled, "", "")
 	case err != nil:

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"turnmodel/internal/fault"
 	"turnmodel/internal/metrics"
 	"turnmodel/internal/routing"
 	"turnmodel/internal/topology"
@@ -291,5 +293,44 @@ func TestMetricsDumpFiles(t *testing.T) {
 	}
 	if len(strings.TrimSpace(string(data))) == 0 {
 		t.Errorf("%s is empty", metrics.HeatmapFile)
+	}
+}
+
+// TestEpochLatenciesPerRun: per-epoch latencies are numbered from the
+// fault set a run begins with, not from the topology's first run. Two
+// runs of one fault campaign on one topology (Run heals the faults on
+// exit, so it can host the second) must write byte-identical manifests.
+func TestEpochLatenciesPerRun(t *testing.T) {
+	topo := topology.NewMesh(8, 8)
+	plan, err := fault.NewCampaign(topo, fault.Campaign{Seed: 7, Horizon: 6000, Rate: 4, MTTR: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifests [2]bytes.Buffer
+	var epochs [2]int
+	for i := range manifests {
+		m := metrics.New(metrics.Config{Interval: 1000})
+		if _, err := Run(Config{
+			Algorithm:         routing.NewFullyAdaptive(topo),
+			Pattern:           traffic.NewUniform(topo),
+			OfferedLoad:       1.0,
+			WarmupCycles:      1000,
+			MeasureCycles:     5000,
+			Seed:              7,
+			FaultPlan:         plan,
+			RecoveryThreshold: 512,
+			Metrics:           m,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if epochs[i] = m.Summarize().FaultEpochs; epochs[i] < 2 {
+			t.Fatalf("run %d: %d fault epochs; the campaign changed no fault set", i, epochs[i])
+		}
+		if err := m.WriteManifest(&manifests[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(manifests[0].Bytes(), manifests[1].Bytes()) {
+		t.Errorf("two runs of one campaign wrote different manifests (fault_epochs %d, then %d)", epochs[0], epochs[1])
 	}
 }

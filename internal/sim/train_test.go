@@ -294,8 +294,7 @@ func TestCollectorKeepsTrainPath(t *testing.T) {
 // configuration of TestTrainPathMatchesPerFlit's sweep, plus a fault
 // campaign with recovery, gives equal Results and byte-identical
 // manifest, Prometheus and heatmap dumps. Each path runs on its own
-// copy of the topology: the per-epoch latencies name the topology's
-// fault epochs, which keep counting from one run to the next.
+// copy of the topology.
 func TestTrainPathMetricsMatchPerFlit(t *testing.T) {
 	type namedConfigs struct {
 		name string
