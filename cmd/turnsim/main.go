@@ -44,10 +44,10 @@ func main() {
 	delay := flag.Int64("delay", 0, "extra router decision delay in cycles")
 	verbose := flag.Bool("v", false, "print percentiles and channel utilization")
 	record := flag.String("record", "", "record the workload to a trace file and exit (horizon = warmup+measure cycles)")
-	replay := flag.String("replay", "", "replay a recorded workload trace instead of generating traffic")
-	metricsDir := flag.String("metrics", "", "collect run metrics and write manifest.json, metrics.prom and heatmap.txt to this directory")
-	metricsInterval := flag.Int64("metrics-interval", 1000, "metrics time-series sampling cadence in cycles")
-	exactLat := flag.Bool("metrics-exact-latencies", false, "record every packet's latency exactly in the metrics manifest (unbounded memory)")
+	replay := flag.String("replay", "", "replay a recorded workload trace instead of generating traffic (not with -load or -traffic)")
+	metricsDir := flag.String("metrics", "", "collect run metrics and write manifest.json, metrics.prom and heatmap.txt to this directory (not with -record)")
+	metricsInterval := flag.Int64("metrics-interval", 1000, "metrics time-series sampling cadence in cycles (with -metrics)")
+	exactLat := flag.Bool("metrics-exact-latencies", false, "record every packet's latency exactly in the metrics manifest (unbounded memory; with -metrics)")
 	faultRate := flag.Float64("fault-rate", 0, "random transient channel-fault onsets per 1000 cycles (0 = no faults)")
 	faultMTTR := flag.Int64("fault-mttr", 2000, "mean time to repair a transient fault in cycles (0 = permanent faults)")
 	recovery := flag.Int64("recovery", 0, "deadlock-recovery watchdog threshold in cycles (0 = recovery off)")
@@ -55,6 +55,25 @@ func main() {
 	retryBackoff := flag.Int64("retry-backoff", 0, "base recovery retry backoff in cycles (0 = recovery threshold)")
 	checkInv := flag.Bool("check", false, "run the structural invariant checker during and after the simulation")
 	flag.Parse()
+
+	// A flag the chosen run would ignore is a usage error, not a no-op.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"metrics-interval", "metrics-exact-latencies"} {
+		if set[name] && *metricsDir == "" {
+			usage("-" + name + " needs -metrics: without a collector it would be ignored")
+		}
+	}
+	if *replay != "" {
+		for _, name := range []string{"load", "traffic"} {
+			if set[name] {
+				usage("-" + name + " does not apply with -replay: the trace is the workload")
+			}
+		}
+	}
+	if *record != "" && *metricsDir != "" {
+		usage("-metrics does not apply with -record: recording simulates no network")
+	}
 
 	t, err := cli.ParseTopology(*topoFlag)
 	check(err)
@@ -176,6 +195,12 @@ func main() {
 			res.HottestChannel, res.MaxChannelUtilization*100)
 		fmt.Printf("backlog growth: %d flits over the measurement window\n", res.BacklogGrowth)
 	}
+}
+
+// usage reports a flag combination the run cannot honor and exits 2.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "turnsim:", msg)
+	os.Exit(2)
 }
 
 func check(err error) {

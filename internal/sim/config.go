@@ -97,7 +97,12 @@ func (p InputPolicy) String() string {
 // ScriptedMessage injects one specific message, for constructing exact
 // scenarios such as the four-packet deadlock of Figure 1.
 type ScriptedMessage struct {
-	// Cycle is the generation time.
+	// Cycle is the cycle the message joins its source queue, and the
+	// origin of its latency. A stochastic run enqueues a message at the
+	// first whole cycle after its generation time but counts latency
+	// from the cycle before. So a recorded workload (RecordWorkload)
+	// replays that run's events exactly, under deterministic selection
+	// policies, with latencies one cycle shorter.
 	Cycle int64
 	// Src and Dst are the endpoints; Dst must differ from Src.
 	Src, Dst topology.NodeID

@@ -128,6 +128,16 @@ type Engine struct {
 	script   []ScriptedMessage
 	scriptAt int
 
+	// genHeap schedules every node at ⌈nextGen[v]⌉, so generate visits
+	// only the due nodes; lastGen is the cycle generate last ran (-1
+	// before its first), and no entry is due at or before it. Both stay
+	// unused under a Script.
+	genHeap genHeap
+	lastGen int64
+	// injectable holds one bit per source. A clear bit means its queue is
+	// empty or its injection buffer is full, so injectQueued skips it.
+	injectable bitset
+
 	// freePkts recycles delivered packet structs: deliver pushes (after
 	// every consumer — observers, metrics, stats — has read the packet)
 	// and generate pops, resetting at acquisition so stale pointers held
@@ -304,6 +314,8 @@ func New(cfg Config) (*Engine, error) {
 		upOut:          make([]int32, n*vport),
 		physOf:         make([]int32, n*vport),
 		queues:         make([]pktRing, n),
+		lastGen:        -1,
+		injectable:     newBitset(n),
 		injUsed:        make([]bool, n*vport),
 		nextGen:        make([]float64, n),
 		inWork:         make([]bool, n*vport),
@@ -400,9 +412,12 @@ func New(cfg Config) (*Engine, error) {
 		// OfferedLoad flits/us/node = rate msgs/cycle * meanLen flits/msg
 		// * 20 cycles/us.
 		e.genRate = c.OfferedLoad / CyclesPerMicrosecond / c.MeanLength()
+		e.genHeap = make(genHeap, n)
 		for v := range e.nextGen {
 			e.nextGen[v] = e.rng.ExpFloat64() / e.genRate
+			e.genHeap[v] = genEntry{due: dueCycle(e.nextGen[v]), v: int32(v)}
 		}
+		e.genHeap.init()
 	} else {
 		s := append([]ScriptedMessage(nil), e.script...)
 		sort.SliceStable(s, func(i, j int) bool { return s[i].Cycle < s[j].Cycle })
@@ -454,6 +469,10 @@ func (e *Engine) releasePacket(p *packet) {
 	e.freePkts = append(e.freePkts, p)
 }
 
+// generate enqueues the messages due this cycle: the script's, or each
+// due source's exponential arrivals. The heap yields the due sources in
+// ascending node order, and generate must run every cycle from cycle 0,
+// so every random draw keeps the order of a scan over all nodes.
 func (e *Engine) generate() {
 	if e.script != nil {
 		for e.scriptAt < len(e.script) && e.script[e.scriptAt].Cycle <= e.cycle {
@@ -464,13 +483,16 @@ func (e *Engine) generate() {
 			p.firstDir, p.genCycle = m.FirstDir, e.cycle
 			e.nextPktID++
 			e.queues[m.Src].push(p)
+			e.injectable.set(int32(m.Src))
 			e.stats.flitsGenerated += int64(p.length)
 			e.inFlight++
 		}
 		return
 	}
 	now := float64(e.cycle)
-	for v := range e.queues {
+	h := e.genHeap
+	for len(h) > 0 && h[0].due <= e.cycle {
+		v := int(h[0].v)
 		for e.nextGen[v] <= now {
 			gen := e.nextGen[v]
 			e.nextGen[v] += e.rng.ExpFloat64() / e.genRate
@@ -485,10 +507,14 @@ func (e *Engine) generate() {
 			p.genCycle = int64(gen)
 			e.nextPktID++
 			e.queues[v].push(p)
+			e.injectable.set(int32(v))
 			e.stats.flitsGenerated += int64(p.length)
 			e.inFlight++
 		}
+		h[0].due = dueCycle(e.nextGen[v]) // after this cycle
+		h.down(0)
 	}
+	e.lastGen = e.cycle
 }
 
 // drawLength samples the packet-length distribution from the cumulative
@@ -864,11 +890,23 @@ func (e *Engine) move() {
 	}
 }
 
-// injectQueued attempts an injection from every nonempty source queue.
+// injectQueued attempts an injection from every source in the
+// injectable set, in ascending node order, and drops from the set each
+// source it leaves with an empty queue or a full injection buffer. The
+// sources it skips are exactly those whose tryInject would return
+// without effect (injUsed is all false here, and under strict advance
+// lenStart equals each buffer's length), so every Inject keeps its
+// place.
 func (e *Engine) injectQueued() {
-	for v := range e.queues {
-		if e.queues[v].len() > 0 {
+	for i, word := range e.injectable {
+		base := int32(i << 6)
+		for word != 0 {
+			v := base + int32(bits.TrailingZeros64(word))
+			word &= word - 1
 			e.tryInject(topology.NodeID(v))
+			if e.queues[v].len() == 0 || len(e.inbufs[e.injectionIn(topology.NodeID(v))].q) >= e.depth {
+				e.injectable.clear(v)
+			}
 		}
 	}
 }
@@ -1069,20 +1107,23 @@ func (e *Engine) unstallFeeder(in int32) int32 {
 	return feeder
 }
 
-// cascade schedules feeder, the input holding the channel into buffer
-// in (or -1), which may now have space to receive a flit (chained
-// advance).
+// cascade follows a pop from buffer in. An injection buffer's source
+// rejoins the injectable set and, under chained advance, injects at
+// once. For any other buffer, chained advance schedules feeder, the
+// input holding the channel into in (or -1), which may now have space
+// to receive a flit.
 func (e *Engine) cascade(in int32, b *inbuf, feeder int32) {
-	if e.cfg.StrictAdvance {
-		return
-	}
 	if int(b.port) == e.vport-1 {
-		// Injection buffer freed: the source queue may inject.
-		v := topology.NodeID(int(in) / e.vport)
-		e.tryInject(v)
+		v := in / int32(e.vport)
+		e.injectable.set(v)
+		if !e.cfg.StrictAdvance {
+			e.tryInject(topology.NodeID(v))
+		}
 		return
 	}
-	e.pushWork(feeder)
+	if !e.cfg.StrictAdvance {
+		e.pushWork(feeder)
+	}
 }
 
 // deliver finalizes a packet whose tail was consumed.

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+
+	"turnmodel/internal/topology"
 )
 
 // CheckInvariants verifies the engine's structural invariants and
@@ -29,7 +31,13 @@ import (
 //     the head flag only at the front, the tail flag only at the back
 //     once the worm is fully injected, and the back at the source's
 //     injection buffer while it is not. The train move path relies on
-//     this shape.
+//     this shape;
+//   - generation schedule, for stochastic engines: the generation heap
+//     holds every node exactly once, keyed by ⌈nextGen[v]⌉, in heap
+//     order, and no entry is due at or before the last cycle generate
+//     ran;
+//   - injectable set: every source whose bit is clear has an empty
+//     queue or a full injection buffer.
 //
 // Config.CheckInvariants runs this periodically during Run and once at
 // the end, recording the first violation in Result.InvariantViolation;
@@ -88,6 +96,9 @@ func (e *Engine) CheckInvariants() error {
 		if err := e.checkChains(); err != nil {
 			return err
 		}
+	}
+	if err := e.checkSourceSide(); err != nil {
+		return err
 	}
 	if e.flitsInjectedEver != e.flitsDeliveredEver+e.recov.flitsDrained+buffered {
 		return fmt.Errorf("flit conservation: injected %d != delivered %d + drained %d + buffered %d",
@@ -166,6 +177,45 @@ func (e *Engine) checkChains() error {
 	for in := range e.inbufs {
 		if q := e.inbufs[in].q; len(q) > 0 && !onChain[in] {
 			return fmt.Errorf("input %d holds a flit of packet %d off its worm's chain", in, q[0].p.id)
+		}
+	}
+	return nil
+}
+
+// checkSourceSide verifies the generation schedule and the injectable
+// set (see CheckInvariants).
+func (e *Engine) checkSourceSide() error {
+	if e.script == nil {
+		h := e.genHeap
+		if len(h) != len(e.nextGen) {
+			return fmt.Errorf("generation heap holds %d entries for %d nodes", len(h), len(e.nextGen))
+		}
+		seen := make([]bool, len(h))
+		for i, en := range h {
+			if en.v < 0 || int(en.v) >= len(h) || seen[en.v] {
+				return fmt.Errorf("generation heap entry %d: node %d out of range or repeated", i, en.v)
+			}
+			seen[en.v] = true
+			if want := dueCycle(e.nextGen[en.v]); en.due != want {
+				return fmt.Errorf("generation heap entry %d: node %d due at cycle %d, want %d", i, en.v, en.due, want)
+			}
+			if parent := (i - 1) / 2; i > 0 && en.before(h[parent]) {
+				return fmt.Errorf("generation heap entry %d (node %d, due %d) precedes its parent (node %d, due %d)",
+					i, en.v, en.due, h[parent].v, h[parent].due)
+			}
+			if en.due <= e.lastGen {
+				return fmt.Errorf("generation heap: node %d due at cycle %d, but generate ran at cycle %d",
+					en.v, en.due, e.lastGen)
+			}
+		}
+	}
+	for v := range e.queues {
+		if e.injectable.get(int32(v)) || e.queues[v].len() == 0 {
+			continue
+		}
+		if n := len(e.inbufs[e.injectionIn(topology.NodeID(v))].q); n < e.depth {
+			return fmt.Errorf("source %d: not injectable, but %d packets queued and its injection buffer holds %d of %d flits",
+				v, e.queues[v].len(), n, e.depth)
 		}
 	}
 	return nil

@@ -8,22 +8,21 @@ import (
 	"turnmodel/internal/traffic"
 )
 
-// Per-class move-phase micro-benchmarks. Each benchmark isolates the
-// move phase of a warmed-up steady-state engine: the generation and
+// Per-class move-phase micro-benchmarks. Each BenchmarkMove* isolates
+// the move phase of a warmed-up steady-state engine: the generation and
 // allocation phases (and the link-usage resets between them) run with
 // the timer stopped, so ns/op measures exactly one move phase per
 // switching class, where whole-run benches blend it with the allocation
-// phase and statistics.
+// phase and statistics. BenchmarkStep times whole cycles instead.
 func benchMovePhase(b *testing.B, mk func() Config) {
 	benchMovePhaseAfter(b, 2000, mk)
 }
 
-// benchMovePhaseAfter is benchMovePhase with warmup cycles before the
-// timed phases, and returns the warmed engine.
-func benchMovePhaseAfter(b *testing.B, warmup int, mk func() Config) *Engine {
+// warmEngine builds mk's engine and runs warmup cycles. The measurement
+// window never opens: the latency histogram may grow, and the benches
+// want the pure steady-state cost.
+func warmEngine(b *testing.B, warmup int, mk func() Config) *Engine {
 	cfg := mk()
-	// Never start measuring: the latency histogram may grow, and this
-	// bench wants the pure steady-state move cost.
 	cfg.WarmupCycles = 1 << 30
 	cfg.MeasureCycles = 1
 	e, err := New(cfg)
@@ -37,6 +36,13 @@ func benchMovePhaseAfter(b *testing.B, warmup int, mk func() Config) *Engine {
 	if e.inFlight == 0 {
 		b.Fatal("no traffic in flight after warmup; benchmark would be vacuous")
 	}
+	return e
+}
+
+// benchMovePhaseAfter is benchMovePhase with warmup cycles before the
+// timed phases, and returns the warmed engine.
+func benchMovePhaseAfter(b *testing.B, warmup int, mk func() Config) *Engine {
+	e := warmEngine(b, warmup, mk)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.StopTimer()
@@ -60,11 +66,24 @@ func benchMovePhaseAfter(b *testing.B, warmup int, mk func() Config) *Engine {
 	return e
 }
 
+// benchStepAfter times whole cycles, e.step(), of an engine warmed for
+// warmup cycles, and returns the engine.
+func benchStepAfter(b *testing.B, warmup int, mk func() Config) *Engine {
+	e := warmEngine(b, warmup, mk)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.step()
+		e.cycle++
+	}
+	return e
+}
+
 // BenchmarkMoveWormhole: the baseline single-VC wormhole class, on the
 // worm-train path and, with a no-op observer attached, on the per-flit
 // path.
 func BenchmarkMoveWormhole(b *testing.B) {
-	benchMovePaths(b, 2000, func() Config {
+	benchPaths(b, benchMovePhaseAfter, 2000, func() Config {
 		topo := topology.NewMesh(8, 8)
 		return Config{
 			Algorithm:   routing.NewNegativeFirst(topo),
@@ -75,16 +94,18 @@ func BenchmarkMoveWormhole(b *testing.B) {
 	}, nil)
 }
 
-// benchMovePaths runs benchMovePhaseAfter as a /train sub-benchmark and
-// a /per-flit one, which attaches a no-op observer to select the
-// per-flit move path. check, if non-nil, inspects each warmed engine.
-func benchMovePaths(b *testing.B, warmup int, mk func() Config, check func(*testing.B, *Engine)) {
+// benchPaths runs bench (benchMovePhaseAfter or benchStepAfter) as a
+// /train sub-benchmark and a /per-flit one, which attaches a no-op
+// observer to select the per-flit move path. check, if non-nil,
+// inspects each warmed engine.
+func benchPaths(b *testing.B, bench func(*testing.B, int, func() Config) *Engine,
+	warmup int, mk func() Config, check func(*testing.B, *Engine)) {
 	for _, path := range []struct {
 		name string
 		obs  Observer
 	}{{"train", nil}, {"per-flit", ObserverFuncs{}}} {
 		b.Run(path.name, func(b *testing.B) {
-			e := benchMovePhaseAfter(b, warmup, func() Config {
+			e := bench(b, warmup, func() Config {
 				cfg := mk()
 				cfg.Observer = path.obs
 				return cfg
@@ -154,18 +175,54 @@ func BenchmarkMoveChainedSAF(b *testing.B) {
 // where most flit moves carry a body flit from one full buffer into the
 // next.
 func BenchmarkMoveSaturated(b *testing.B) {
-	benchMovePaths(b, 3000, func() Config {
-		topo := topology.NewMesh(32, 32)
-		return Config{
-			Algorithm:   routing.NewNegativeFirst(topo),
-			Pattern:     traffic.NewMeshTranspose(topo),
-			OfferedLoad: 1.5,
-			Seed:        1,
-		}
-	}, func(b *testing.B, e *Engine) {
+	benchPaths(b, benchMovePhaseAfter, 3000, mesh32Config, func(b *testing.B, e *Engine) {
 		if share := fullDownstreamShare(e); share < 0.5 {
 			b.Fatalf("only %.0f%% of flowing inputs wait on a full buffer; not saturated", 100*share)
 		}
+	})
+}
+
+// mesh32Config is the benchmark's mesh32 configuration: 32x32
+// negative-first, matrix transpose, 1.5 flits/us/node.
+func mesh32Config() Config {
+	topo := topology.NewMesh(32, 32)
+	return Config{
+		Algorithm:   routing.NewNegativeFirst(topo),
+		Pattern:     traffic.NewMeshTranspose(topo),
+		OfferedLoad: 1.5,
+		Seed:        1,
+	}
+}
+
+// BenchmarkStep times whole cycles: fault and recovery checks,
+// generation, allocation, the link resets and the move phase, where the
+// BenchmarkMove* cases time the move phase alone. Cases: the mesh32
+// configuration, fig14's 16x16 west-first transpose at 1.5 on both move
+// paths, and a light 16x16 xy uniform load of 0.5, where the source side
+// weighs most.
+func BenchmarkStep(b *testing.B) {
+	b.Run("mesh32", func(b *testing.B) { benchStepAfter(b, 3000, mesh32Config) })
+	b.Run("west-first-transpose-1.5", func(b *testing.B) {
+		benchPaths(b, benchStepAfter, 2000, func() Config {
+			topo := topology.NewMesh(16, 16)
+			return Config{
+				Algorithm:   routing.NewWestFirst(topo),
+				Pattern:     traffic.NewMeshTranspose(topo),
+				OfferedLoad: 1.5,
+				Seed:        1,
+			}
+		}, nil)
+	})
+	b.Run("xy-uniform-0.5", func(b *testing.B) {
+		benchStepAfter(b, 2000, func() Config {
+			topo := topology.NewMesh(16, 16)
+			return Config{
+				Algorithm:   routing.NewDimensionOrder(topo),
+				Pattern:     traffic.NewUniform(topo),
+				OfferedLoad: 0.5,
+				Seed:        1,
+			}
+		})
 	})
 }
 

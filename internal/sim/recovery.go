@@ -48,6 +48,7 @@ func (e *Engine) recoverStep() {
 		for _, en := range r.pending {
 			if en.due <= e.cycle {
 				e.queues[en.p.src].push(en.p)
+				e.injectable.set(int32(en.p.src))
 				r.retries++
 				// A release is engine-driven liveness: don't let a long
 				// backoff with an otherwise idle network read as deadlock.
@@ -134,7 +135,10 @@ func (e *Engine) abortWorm(hin int32) {
 			e.unstallFeeder(cur)
 		}
 		if int(cb.port) == e.vport-1 {
-			break // injection buffer: the chain ends at the source
+			// Injection buffer: the chain ends at the source, which may
+			// inject into the space the drain freed.
+			e.injectable.set(cur / int32(e.vport))
+			break
 		}
 		if drained == inNet && p.flitsSent == p.length {
 			break // tail drained and fully injected: nothing upstream

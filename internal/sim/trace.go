@@ -63,7 +63,13 @@ func ReadTrace(r io.Reader) ([]ScriptedMessage, error) {
 // produce over the given horizon — the same stochastic process the
 // simulator drives — without simulating the network. The result can be
 // replayed via Config.Script against any algorithm on the same
-// topology.
+// topology. Each message's Cycle is the cycle the stochastic run
+// enqueues it, so a replay on the same configuration injects, forwards
+// and delivers exactly as that run does, unless a random selection
+// policy shares the generator's random stream. Its latencies read one
+// cycle shorter: a replay counts latency from the enqueue cycle, the
+// stochastic run from the whole cycle before it (the generation time
+// rounded down).
 func RecordWorkload(cfg Config, horizon int64) ([]ScriptedMessage, error) {
 	e, err := New(cfg)
 	if err != nil {
@@ -80,7 +86,7 @@ func RecordWorkload(cfg Config, horizon int64) ([]ScriptedMessage, error) {
 			for q.len() > 0 {
 				p := q.pop()
 				msgs = append(msgs, ScriptedMessage{
-					Cycle: p.genCycle, Src: p.src, Dst: p.dst, Length: p.length,
+					Cycle: e.cycle, Src: p.src, Dst: p.dst, Length: p.length,
 				})
 				e.releasePacket(p)
 			}

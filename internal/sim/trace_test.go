@@ -144,3 +144,80 @@ func TestRecordWorkloadRejectsScript(t *testing.T) {
 		t.Error("expected error for scripted config")
 	}
 }
+
+// TestReplayMatchesStochasticRun: replaying a recorded workload on the
+// configuration that recorded it reproduces the stochastic run's
+// Inject, Forward and Deliver events exactly, each delivery's latency
+// one cycle shorter (the replay counts from the enqueue cycle, the
+// stochastic run from the generation time rounded down). It checks the
+// generation schedule without the pinned digests.
+func TestReplayMatchesStochasticRun(t *testing.T) {
+	type event struct {
+		kind                   byte
+		cycle                  int64
+		a, b, c, d, e, latency int64
+	}
+	record := func(evs *[]event) Observer {
+		return ObserverFuncs{
+			InjectFn: func(cycle int64, src, dst topology.NodeID, length int) {
+				*evs = append(*evs, event{kind: 'I', cycle: cycle, a: int64(src), b: int64(dst), c: int64(length)})
+			},
+			ForwardFn: func(cycle int64, ch topology.Channel, vc int, head, tail bool) {
+				*evs = append(*evs, event{kind: 'F', cycle: cycle, a: int64(ch.From), b: int64(ch.Dir.Index()),
+					c: int64(vc), d: b2i(head), e: b2i(tail)})
+			},
+			DeliverFn: func(cycle int64, src, dst topology.NodeID, lat int64, hops int) {
+				*evs = append(*evs, event{kind: 'D', cycle: cycle, a: int64(src), b: int64(dst), c: int64(hops), latency: lat})
+			},
+		}
+	}
+	const horizon = 6000
+	for _, load := range []float64{0.5, 2.0, 3.0} {
+		topo := topology.NewMesh(8, 8)
+		cfg := Config{
+			Algorithm:     routing.NewWestFirst(topo),
+			Pattern:       traffic.NewMeshTranspose(topo),
+			OfferedLoad:   load,
+			WarmupCycles:  1000,
+			MeasureCycles: horizon - 1000,
+			Seed:          9,
+		}
+		msgs, err := RecordWorkload(cfg, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stoch, replay []event
+		cfg.Observer = record(&stoch)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(Config{
+			Algorithm:     cfg.Algorithm,
+			Script:        msgs,
+			DrainDeadline: horizon,
+			Observer:      record(&replay),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		delivered := 0
+		for i := range stoch {
+			if i >= len(replay) {
+				break
+			}
+			want := stoch[i]
+			if want.kind == 'D' {
+				want.latency--
+				delivered++
+			}
+			if replay[i] != want {
+				t.Fatalf("load %.1f: event %d of %d: replay %+v, want %+v", load, i, len(stoch), replay[i], want)
+			}
+		}
+		if len(replay) != len(stoch) {
+			t.Fatalf("load %.1f: replay emitted %d events, stochastic run %d", load, len(replay), len(stoch))
+		}
+		if delivered == 0 {
+			t.Fatalf("load %.1f: nothing delivered; the comparison is vacuous", load)
+		}
+	}
+}

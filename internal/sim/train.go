@@ -61,7 +61,10 @@ func (e *Engine) moveTrains() {
 // and a collector's Occupancy takes the net of the per-flit path's n
 // single moves: one flit more at dest's router, one fewer at the back's.
 // linkUsed stays unwritten: each link has one holder, and a worm moves
-// at most once per cycle.
+// at most once per cycle. An emptied injection buffer is refilled at
+// once: its channel is unused this cycle, as the buffer was full, so
+// tryInject leaves it full again or its source queue empty, and the
+// source's injectable bit may stay clear.
 func (e *Engine) moveTrain(front int32) {
 	fb := &e.inbufs[front]
 	f := fb.q[0]

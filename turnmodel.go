@@ -300,7 +300,11 @@ func SaturationBound(maxLoad float64) float64 { return analytic.SaturationBound(
 
 // RecordWorkload generates the message workload a configuration would
 // produce over the given horizon in cycles, without simulating the
-// network; replay it via SimConfig.Script.
+// network; replay it via SimConfig.Script. Each message's Cycle is the
+// cycle the stochastic run enqueues it, so a replay on the same
+// configuration with deterministic selection policies moves every flit
+// as that run does, and reads each latency one cycle shorter (the run
+// counts from its generation time rounded down).
 func RecordWorkload(cfg SimConfig, horizon int64) ([]ScriptedMessage, error) {
 	return sim.RecordWorkload(cfg, horizon)
 }
