@@ -39,6 +39,13 @@ type packet struct {
 	// them, so results are bit-identical either way.
 	lastProgress int64
 	retries      int32
+
+	// back and moves are the worm-train path's (train.go): back is the
+	// input buffer holding the worm's last in-network flit, and moves
+	// counts the worm's train moves, the clock of its held links' flit
+	// counts (see linkStamp). The per-flit path leaves both unread.
+	back  int32
+	moves int64
 }
 
 // flit is one flow control digit.
@@ -114,6 +121,7 @@ type Engine struct {
 
 	// Flat state, indexed router*vport+port unless noted.
 	inbufs   []inbuf
+	slot     []flit  // depth 1: the flit arena; slot[in] backs inbufs[in].q
 	busyBy   []int32 // virtual output port -> input index holding it, or -1
 	linkUsed []bool  // physical link used this cycle, router*nphys+phys
 	outDest  []int32 // virtual output port -> downstream input index, -1 ejection
@@ -212,6 +220,14 @@ type Engine struct {
 	// linkStart, openWindow's snapshot (nil when counting starts there).
 	linkFlits []int64
 	linkStart []int64
+	// linkStamp is, per virtual output, its holder's moves when the
+	// train path last credited the output's flits to linkFlits: at its
+	// grant, or at the last flushLinks. A held output has carried one
+	// flit per train move since, so the train path credits moves minus
+	// the stamp at release and flushLinks credits every held output
+	// before linkFlits is read. The per-flit path counts each flit as it
+	// moves.
+	linkStamp []int64
 
 	// faults replays cfg.FaultPlan as cycles advance, or nil. It runs at
 	// the top of step, before generation and allocation, so a cycle's
@@ -310,6 +326,7 @@ func New(cfg Config) (*Engine, error) {
 		busyBy:         make([]int32, n*vport),
 		linkUsed:       make([]bool, n*(ndim2+1)),
 		linkFlits:      make([]int64, n*(ndim2+1)),
+		linkStamp:      make([]int64, n*vport),
 		outDest:        make([]int32, n*vport),
 		upOut:          make([]int32, n*vport),
 		physOf:         make([]int32, n*vport),
@@ -350,15 +367,20 @@ func New(cfg Config) (*Engine, error) {
 	// layout. nil means the relation is not compilable; fillCandCache
 	// then evaluates it directly.
 	e.table = routing.TableFor(alg)
-	if slots := n * vport * e.depth; slots <= flitArenaMaxFlits {
+	if slots := n * vport * e.depth; slots <= flitArenaMaxFlits || e.depth == 1 {
 		// One arena backs every input buffer: each buffer gets a
 		// zero-length slice with capacity depth, and since hasSpace
 		// bounds every append by depth, no buffer ever escapes its
 		// segment. This removes the per-buffer lazy grow allocations.
+		// At depth 1 the arena is no larger than inbufs, and the train
+		// path reads and writes each buffer's one flit through it.
 		arena := make([]flit, slots)
 		for i := range e.inbufs {
 			off := i * e.depth
 			e.inbufs[i].q = arena[off : off : off+e.depth]
+		}
+		if e.depth == 1 {
+			e.slot = arena
 		}
 	}
 	for i := range e.busyBy {
@@ -617,6 +639,7 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 			out := e.ejectionOut(topology.NodeID(v))
 			if e.busyBy[out] < 0 {
 				e.busyBy[out] = in
+				e.linkStamp[out] = pkt.moves
 				b.allocOut = out
 				e.flowing.set(in)
 				if e.m != nil {
@@ -681,6 +704,7 @@ func (e *Engine) allocateRouter(v int, epoch int32) bool {
 			c = pick[e.rng.Intn(len(pick))]
 		}
 		e.busyBy[c.Out] = in
+		e.linkStamp[c.Out] = pkt.moves
 		b.allocOut = c.Out
 		e.flowing.set(in)
 		if dest := e.outDest[c.Out]; len(e.inbufs[dest].q) >= e.depth {
@@ -948,6 +972,7 @@ func (e *Engine) tryInject(v topology.NodeID) {
 	if head {
 		b.headArrival = e.cycle
 		p.injectCycle = e.cycle
+		p.back = in
 		if len(b.q) == 1 {
 			e.pushAllocWork(int32(v))
 		}

@@ -32,6 +32,9 @@ import (
 //     once the worm is fully injected, and the back at the source's
 //     injection buffer while it is not. The train move path relies on
 //     this shape;
+//   - train bookkeeping, when the train path moves (see moveTrain): each
+//     worm's back is the last buffer of its chain, and each held
+//     output's stamp is at most its holder's move count;
 //   - generation schedule, for stochastic engines: the generation heap
 //     holds every node exactly once, keyed by ⌈nextGen[v]⌉, in heap
 //     order, and no entry is due at or before the last cycle generate
@@ -172,6 +175,20 @@ func (e *Engine) checkChains() error {
 		if !injected && cur != e.injectionIn(p.src) {
 			return fmt.Errorf("packet %d: partially injected, but its chain ends at input %d, not its source's injection buffer",
 				p.id, cur)
+		}
+		if e.trains && p.back != cur {
+			return fmt.Errorf("packet %d: back is input %d, but its chain ends at input %d", p.id, p.back, cur)
+		}
+	}
+	if e.trains {
+		for out, in := range e.busyBy {
+			if in < 0 {
+				continue
+			}
+			if p := e.inbufs[in].q[0].p; e.linkStamp[out] > p.moves {
+				return fmt.Errorf("output %d: stamp %d exceeds its holder packet %d's %d moves",
+					out, e.linkStamp[out], p.id, p.moves)
+			}
 		}
 	}
 	for in := range e.inbufs {

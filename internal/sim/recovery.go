@@ -154,7 +154,11 @@ func (e *Engine) abortWorm(hin int32) {
 		// The released feeder is not stalled: either the drain above
 		// cleared its bits, or cur held none of the worm's flits, and a
 		// buffer fed by a channel the worm holds is then empty.
-		e.release(feeder, up)
+		if e.trains {
+			e.releaseTrain(feeder, up, p)
+		} else {
+			e.release(feeder, up)
+		}
 		released++
 		cur = feeder
 	}

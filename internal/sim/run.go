@@ -176,6 +176,7 @@ func (e *Engine) syncMetrics() {
 // openWindow opens the measurement window. Its flit counts are whole-run
 // counters minus the snapshots taken here.
 func (e *Engine) openWindow() {
+	e.flushLinks()
 	s := &e.stats
 	s.measuring = true
 	s.windowStart = e.cycle
@@ -250,6 +251,7 @@ func (e *Engine) run() Result {
 
 	res.Cycles = e.cycle
 	s := &e.stats
+	e.flushLinks()
 	if e.cfg.CheckInvariants {
 		e.checkInvariantsNow("end of run")
 	}

@@ -56,34 +56,35 @@ func (e *Engine) moveTrains() {
 // empty, or an ejection channel. Every flit between a worm's head and
 // tail is {p, false, false}, so the shift rewrites only the front (it
 // takes the next flit), the buffer before the back (it takes the tail,
-// once the worm is fully injected) and the back (it empties). The walk
-// to the back counts each traversed link's flit while links are counted,
-// and a collector's Occupancy takes the net of the per-flit path's n
-// single moves: one flit more at dest's router, one fewer at the back's.
-// linkUsed stays unwritten: each link has one holder, and a worm moves
-// at most once per cycle. An emptied injection buffer is refilled at
-// once: its channel is unused this cycle, as the buffer was full, so
-// tryInject leaves it full again or its source queue empty, and the
-// source's injectable bit may stay clear.
+// once the worm is fully injected) and the back (it empties). The back
+// is p.back, and the buffer before it is the one its held output leads
+// to, so no step walks the worm. Each held link carries one flit per
+// train move: the move counts on p.moves, and a link's flits are
+// credited to linkFlits by interval (see linkStamp). A collector's
+// Occupancy takes the net of the per-flit path's n single moves: one
+// flit more at dest's router, one fewer at the back's. linkUsed stays
+// unwritten: each link has one holder, and a worm moves at most once per
+// cycle. An emptied injection buffer is refilled at once: its channel is
+// unused this cycle, as the buffer was full, so tryInject leaves it full
+// again or its source queue empty, and the source's injectable bit may
+// stay clear.
 func (e *Engine) moveTrain(front int32) {
 	fb := &e.inbufs[front]
-	f := fb.q[0]
+	f := e.slot[front]
 	p := f.p
 	out := fb.allocOut
 	n := p.flitsSent - p.flitsDelivered
 	injected := p.flitsSent == p.length
-	count := e.countLinks
+	p.moves++
 	p.lastProgress = e.cycle
 	e.lastMove = e.cycle
-	if count {
-		e.linkFlits[e.physOf[out]]++
-	}
 	dest := e.outDest[out]
 	if dest >= 0 {
 		// A forwarding front holds the header, and dest is empty with no
 		// output held.
 		db := &e.inbufs[dest]
-		db.q = append(db.q, f)
+		e.slot[dest] = f
+		db.q = db.q[:1]
 		db.headArrival = e.cycle
 		p.hops++
 		e.pushAllocWork(dest / int32(e.vport))
@@ -97,35 +98,36 @@ func (e *Engine) moveTrain(front int32) {
 		p.flitsDelivered++
 		e.flitsDeliveredEver++
 	}
-	back, prev := front, int32(-1)
-	for k := 1; k < n; k++ {
-		up := e.upOut[back]
-		if count {
-			e.linkFlits[e.physOf[up]]++
-		}
-		prev, back = back, e.busyBy[up]
-	}
+	back := p.back
+	bb := &e.inbufs[back]
 	if e.m != nil {
 		e.m.Occupancy[int(back)/e.vport]--
 	}
 	if n > 1 {
-		fb.q[0] = flit{p: p}
-		if injected {
-			e.inbufs[prev].q[0].tail = true
-		}
+		e.slot[front] = flit{p: p}
 	}
-	bb := &e.inbufs[back]
 	bb.q = bb.q[:0]
 	if !injected {
-		// The back is the source's injection buffer. The source queue's
-		// front is this packet and the injection channel is unused this
-		// cycle (the buffer was full), so tryInject refills it, and the
-		// back stays flowing and stalled.
+		// The back is the source's injection buffer, and stays the back.
+		// The source queue's front is this packet and the injection
+		// channel is unused this cycle (the buffer was full), so
+		// tryInject refills it, and the back stays flowing and stalled.
 		e.tryInject(p.src)
 		return
 	}
-	// The tail left the back: free its channel and wake its router.
-	e.release(back, bb.allocOut)
+	// The tail left the back: the buffer before it takes the tail and
+	// becomes the back, or a one-buffer worm's back is dest (nothing,
+	// once it ejects). Then the back's channel is freed and its router
+	// woken.
+	bout := bb.allocOut
+	if n > 1 {
+		prev := e.outDest[bout]
+		e.slot[prev].tail = true
+		p.back = prev
+	} else {
+		p.back = dest
+	}
+	e.releaseTrain(back, bout, p)
 	e.stalled.clear(back)
 	e.stalledLow.clear(back)
 	if dest < 0 && f.tail {
@@ -137,5 +139,37 @@ func (e *Engine) moveTrain(front int32) {
 		e.tryInject(topology.NodeID(back / int32(e.vport)))
 	} else if feeder := e.unstallFeeder(back); feeder >= 0 {
 		e.scratch.work = append(e.scratch.work, feeder)
+	}
+}
+
+// releaseTrain releases output out, held through input in by packet p's
+// worm on the train path, crediting the flits it carried since its
+// stamp.
+func (e *Engine) releaseTrain(in, out int32, p *packet) {
+	if e.countLinks {
+		e.linkFlits[e.physOf[out]] += p.moves - e.linkStamp[out]
+	}
+	e.release(in, out)
+}
+
+// flushLinks makes linkFlits exact on the train path: every held
+// output's flits since its stamp are credited (while links are counted)
+// and it is restamped. openWindow calls it before its snapshot, so moves
+// made before counting starts never count, and run calls it before the
+// counts are read. Every held input of the train class holds a flit of
+// its holder at a cycle boundary.
+func (e *Engine) flushLinks() {
+	if !e.trains {
+		return
+	}
+	for out, in := range e.busyBy {
+		if in < 0 {
+			continue
+		}
+		moves := e.inbufs[in].q[0].p.moves
+		if e.countLinks {
+			e.linkFlits[e.physOf[out]] += moves - e.linkStamp[out]
+		}
+		e.linkStamp[out] = moves
 	}
 }
