@@ -43,7 +43,7 @@ func main() {
 	misroute := flag.Int64("misroute", 0, "misroute patience in cycles (0 = relation as-is)")
 	delay := flag.Int64("delay", 0, "extra router decision delay in cycles")
 	verbose := flag.Bool("v", false, "print percentiles and channel utilization")
-	record := flag.String("record", "", "record the workload to a trace file and exit (horizon = warmup+measure cycles)")
+	record := flag.String("record", "", "record the workload to a trace file and exit (horizon = warmup+measure cycles; only -topo, -alg, -traffic, -load, -seed, -warmup and -measure apply)")
 	replay := flag.String("replay", "", "replay a recorded workload trace instead of generating traffic (not with -load or -traffic)")
 	metricsDir := flag.String("metrics", "", "collect run metrics and write manifest.json, metrics.prom and heatmap.txt to this directory (not with -record)")
 	metricsInterval := flag.Int64("metrics-interval", 1000, "metrics time-series sampling cadence in cycles (with -metrics)")
@@ -71,8 +71,16 @@ func main() {
 			}
 		}
 	}
-	if *record != "" && *metricsDir != "" {
-		usage("-metrics does not apply with -record: recording simulates no network")
+	if *record != "" {
+		// Recording draws the workload (topology, traffic, load, seed and
+		// horizon) and builds no network state the router, fault,
+		// recovery or reporting flags could act on.
+		for _, name := range []string{"replay", "metrics", "check", "v", "fault-rate", "fault-mttr", "recovery",
+			"retry-limit", "retry-backoff", "buffer", "policy", "input", "switching", "misroute", "delay"} {
+			if set[name] {
+				usage("-" + name + " does not apply with -record: recording draws the workload and simulates no network")
+			}
+		}
 	}
 
 	t, err := cli.ParseTopology(*topoFlag)

@@ -291,6 +291,8 @@ type runStats struct {
 	backlogStartFlits  int64
 	deliveredStart     int64 // flitsDeliveredEver at the window's opening
 	generatedStart     int64 // flitsGenerated at the window's opening
+	packetsStart       int64 // nextPktID at the window's opening
+	inFlightSum        int64 // inFlight summed after every window cycle
 	totalDeliveredEver int64
 	latencies          *stats.Histogram
 }
@@ -1049,7 +1051,7 @@ func (e *Engine) moveOne(in int32) {
 		f.p.flitsDelivered++
 		e.flitsDeliveredEver++
 		if f.tail {
-			e.release(in, out)
+			e.release(in, out, f.p)
 			e.deliver(f.p)
 		}
 		e.cascade(in, b, feeder)
@@ -1067,7 +1069,7 @@ func (e *Engine) moveOne(in int32) {
 		}
 	}
 	if f.tail {
-		e.release(in, out)
+		e.release(in, out, f.p)
 	} else if len(db.q) >= e.depth {
 		// The flit filled dest: the worm's next flit must wait for it.
 		// A tail releases the output instead, and its input was not
@@ -1097,10 +1099,16 @@ func (e *Engine) popFront(in int32, b *inbuf) {
 	}
 }
 
-// release frees the virtual output channel out held through input in
-// once the tail flit has passed: the input stops flowing, and its
-// router's allocation scan wakes for the freed output.
-func (e *Engine) release(in, out int32) {
+// release frees the virtual output channel out held through input in by
+// packet p once the tail flit has passed: the input stops flowing, and
+// its router's allocation scan wakes for the freed output. While links
+// are counted, the train moves p made since out's stamp are credited to
+// its link (see linkStamp); on the per-flit path, which counts each flit
+// as it moves, p's moves and every stamp stay 0.
+func (e *Engine) release(in, out int32, p *packet) {
+	if e.countLinks {
+		e.linkFlits[e.physOf[out]] += p.moves - e.linkStamp[out]
+	}
 	e.busyBy[out] = -1
 	e.inbufs[in].allocOut = -1
 	e.flowing.clear(in)

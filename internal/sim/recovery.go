@@ -154,11 +154,7 @@ func (e *Engine) abortWorm(hin int32) {
 		// The released feeder is not stalled: either the drain above
 		// cleared its bits, or cur held none of the worm's flits, and a
 		// buffer fed by a channel the worm holds is then empty.
-		if e.trains {
-			e.releaseTrain(feeder, up, p)
-		} else {
-			e.release(feeder, up)
-		}
+		e.release(feeder, up, p)
 		released++
 		cur = feeder
 	}

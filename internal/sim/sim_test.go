@@ -272,6 +272,28 @@ func TestSustainabilityFlag(t *testing.T) {
 	}
 }
 
+// TestLittleHoldsOnShortWindows: on a window of a few latencies, the
+// packets straddling its ends dominate Little's-law shortfall, and the
+// tolerance must grow with W/T. 8x8 xy transpose at 1.0 flits/us/node,
+// 35% of its exact ceiling of 20/7, on 300 + 800 cycles (CI's saturate
+// smoke windows), keeps the law on seeds 0-19; a fixed tolerance of
+// littleHoldsFloor fails some of them (shortfalls reach 0.16).
+func TestLittleHoldsOnShortWindows(t *testing.T) {
+	topo := mesh8()
+	alg, pat := routing.NewDimensionOrder(topo), traffic.NewMeshTranspose(topo)
+	for seed := int64(0); seed < 20; seed++ {
+		e, err := New(Config{Algorithm: alg, Pattern: pat, OfferedLoad: 1.0,
+			WarmupCycles: 300, MeasureCycles: 800, Seed: seed + 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := e.run()
+		if !e.littleHolds(800) {
+			t.Errorf("seed %d: Little's law fails at a third of the ceiling: %v", seed, res)
+		}
+	}
+}
+
 // TestThroughputMatchesOfferedAtLowLoad: far below saturation, accepted
 // throughput equals offered load (within stochastic tolerance).
 func TestThroughputMatchesOfferedAtLowLoad(t *testing.T) {

@@ -15,7 +15,9 @@ import (
 // either advances one buffer or stays put, so moveTrain moves a whole
 // worm in one step where the per-flit path calls moveOne once per flit.
 // At every cycle boundary both paths leave the same buffer, channel-hold,
-// bitset and counter state; see DESIGN.md, "Worm trains".
+// bitset and counter state, except that the train path's link counts
+// lag by each held link's open interval until flushLinks credits it;
+// see DESIGN.md, "Worm trains".
 
 // trainShaped reports whether every worm of this engine's runs is a
 // contiguous chain of one-flit buffers: one virtual channel, 1-flit
@@ -58,7 +60,8 @@ func (e *Engine) moveTrains() {
 // takes the next flit), the buffer before the back (it takes the tail,
 // once the worm is fully injected) and the back (it empties). The back
 // is p.back, and the buffer before it is the one its held output leads
-// to, so no step walks the worm. Each held link carries one flit per
+// to, so no step walks the worm. Flits are read and written in e.slot,
+// the depth-1 arena, by input index. Each held link carries one flit per
 // train move: the move counts on p.moves, and a link's flits are
 // credited to linkFlits by interval (see linkStamp). A collector's
 // Occupancy takes the net of the per-flit path's n single moves: one
@@ -127,7 +130,7 @@ func (e *Engine) moveTrain(front int32) {
 	} else {
 		p.back = dest
 	}
-	e.releaseTrain(back, bout, p)
+	e.release(back, bout, p)
 	e.stalled.clear(back)
 	e.stalledLow.clear(back)
 	if dest < 0 && f.tail {
@@ -140,16 +143,6 @@ func (e *Engine) moveTrain(front int32) {
 	} else if feeder := e.unstallFeeder(back); feeder >= 0 {
 		e.scratch.work = append(e.scratch.work, feeder)
 	}
-}
-
-// releaseTrain releases output out, held through input in by packet p's
-// worm on the train path, crediting the flits it carried since its
-// stamp.
-func (e *Engine) releaseTrain(in, out int32, p *packet) {
-	if e.countLinks {
-		e.linkFlits[e.physOf[out]] += p.moves - e.linkStamp[out]
-	}
-	e.release(in, out)
 }
 
 // flushLinks makes linkFlits exact on the train path: every held
